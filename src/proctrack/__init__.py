@@ -27,7 +27,6 @@ from .corpus import (
     normalize_location,
     parse_prediction,
     save_corpus,
-    save_predictions,
     split_stats,
     track_violations,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "save_corpus",
     "save_emissions",
     "save_model",
-    "save_predictions",
     "split_stats",
     "synth_emissions",
     "track_violations",

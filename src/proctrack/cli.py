@@ -33,6 +33,17 @@ def _load(args):
     return vocabulary, procedures, grids
 
 
+def _load_model(args, vocabulary):
+    """Load --model, which must use the vocabulary --vocab names."""
+    model = transitions.load_model(args.model)
+    if model.vocabulary != vocabulary:
+        def describe(v):
+            return f"{v.name!r} {list(v.labels)} nonexistent {sorted(v.nonexistent_states)}"
+        raise ValidationError(f"{args.model}: model vocabulary {describe(model.vocabulary)} "
+                              f"does not match --vocab {describe(vocabulary)}")
+    return model
+
+
 def _parse_grid(spec: str):
     try:
         start, stop, step = (float(x) for x in spec.split(":"))
@@ -97,7 +108,7 @@ def cmd_synth(args) -> int:
 
 def cmd_decode(args) -> int:
     vocabulary, procedures, _ = _load(args)
-    model = transitions.load_model(args.model)
+    model = _load_model(args, vocabulary)
     emissions = decoder.load_emissions(args.emissions, procedures, vocabulary)
     config = decoder.DecodeConfig(tau_exp=args.tau_exp, tau_imp=args.tau_imp)
     count = 0
@@ -106,16 +117,9 @@ def cmd_decode(args) -> int:
             eset = emissions.get(procedure.id)
             if eset is None:
                 continue
-            for entity_id, track in eset.tracks.items():
-                entity = procedure.entity(entity_id)
-                flags = decoder.detect_mentions(procedure, entity)
-                weighted = decoder.weight_emissions(track.state_logits, flags, config)
-                try:
-                    states, score = decoder.viterbi(weighted, model, relax=args.relax)
-                except DecodeError as exc:
-                    raise type(exc)(
-                        f"procedure {procedure.id!r}, entity {entity_id!r}: {exc}"
-                    ) from exc
+            rows = pipeline.decode_unit(procedure, eset.tracks.items(), model, config,
+                                        relax=args.relax)
+            for entity_id, states, score, _, _ in rows:
                 record = {
                     "procedure_id": procedure.id,
                     "entity_id": entity_id,
@@ -131,41 +135,37 @@ def cmd_decode(args) -> int:
 def cmd_resolve(args) -> int:
     vocabulary, procedures, _ = _load(args)
     emissions = decoder.load_emissions(args.emissions, procedures, vocabulary)
-    by_id = {p.id: p for p in procedures}
+    known = {p.id for p in procedures}
     grids: dict[str, corpus.AnnotationGrid] = {}
-    with open(args.decoded, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{args.decoded}:{lineno}"
-            try:
-                record = json.loads(line)
-                proc_id = record["procedure_id"]
-                entity_id = record["entity_id"]
-                states = record["states"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValidationError(f"{where}: bad decoded record: {exc}") from None
-            procedure = by_id.get(proc_id)
-            if procedure is None:
-                raise ValidationError(f"{where}: unknown procedure {proc_id!r}")
-            eset = emissions.get(proc_id)
-            track = eset.tracks.get(entity_id) if eset else None
-            if track is None:
-                raise ValidationError(
-                    f"{where}: no emissions for ({proc_id!r}, {entity_id!r})")
+    for where, record in corpus.iter_records(args.decoded):
+        try:
+            proc_id = record["procedure_id"]
+            entity_id = record["entity_id"]
+            states = record["states"]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"{where}: bad decoded record: {exc}") from None
+        if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+            raise ValidationError(f"{where}: 'states' must be a list of strings")
+        if proc_id not in known:
+            raise ValidationError(f"{where}: unknown procedure {proc_id!r}")
+        eset = emissions.get(proc_id)
+        track = eset.tracks.get(entity_id) if eset else None
+        if track is None:
+            raise ValidationError(
+                f"{where}: no emissions for ({proc_id!r}, {entity_id!r})")
+        try:
             resolved = consistency.resolve(states, track.location_preds, vocabulary)
-            grid = grids.setdefault(proc_id, corpus.AnnotationGrid(proc_id, {}))
-            grid.entries[entity_id] = resolved.track()
-    corpus.save_predictions(procedures, grids, args.out)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
+        grid = grids.setdefault(proc_id, corpus.AnnotationGrid(proc_id, {}))
+        grid.entries[entity_id] = resolved.track()
+    corpus.save_corpus(procedures, grids, args.out)
     total = sum(len(g.entries) for g in grids.values())
     print(f"resolved {total} tracks to {args.out}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    from .evaluator import (eval_document_level, eval_recipes_locations,
-                            eval_sentence_level)
-
     vocabulary, procedures, gold_grids = _load(args)
     if not gold_grids:
         raise ValidationError("evaluation needs gold grids in the corpus file")
@@ -175,28 +175,8 @@ def cmd_evaluate(args) -> int:
         logging.getLogger(__name__).warning(
             "inconsistent prediction %s/%s step %d: %s",
             proc_id, violation.entity_id, violation.step, violation.message)
-    document = eval_document_level(gold_grids, pred_grids)
-    payload = {"document_level": pipeline.document_dict(document)}
-    sentence = eval_sentence_level(gold_grids, pred_grids)
-    payload["sentence_level"] = {
-        "cat1": {"score": sentence.cat1.score},
-        "cat2": {"score": sentence.cat2.score},
-        "cat3": {"score": sentence.cat3.score},
-        "macro": sentence.macro,
-        "micro": sentence.micro,
-    }
-    if vocabulary.name == "recipes":
-        changes = eval_recipes_locations(gold_grids, pred_grids, vocabulary)
-        payload["recipes_location_changes"] = pipeline.question_dict(changes)
-    if args.per_procedure:
-        payload["per_procedure"] = {
-            proc_id: pipeline.document_dict(
-                eval_document_level({proc_id: gold_grids[proc_id]},
-                                    {proc_id: pred_grids.get(
-                                        proc_id, corpus.AnnotationGrid(proc_id, {}))}))
-            for proc_id in sorted(gold_grids)
-        }
-    text = json.dumps(payload, ensure_ascii=False, indent=2)
+    scores = pipeline.score(gold_grids, pred_grids, vocabulary, args.per_procedure)
+    text = json.dumps(pipeline.score_dict(scores), ensure_ascii=False, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -206,7 +186,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_tune(args) -> int:
     vocabulary, procedures, gold_grids = _load(args)
-    model = transitions.load_model(args.model)
+    model = _load_model(args, vocabulary)
     emissions = decoder.load_emissions(args.emissions, procedures, vocabulary)
     grid = _parse_grid(args.grid) if args.grid else None
     result = tuner.tune(procedures, gold_grids, emissions, model, vocabulary,
@@ -232,7 +212,7 @@ def cmd_pipeline(args) -> int:
     vocabulary, procedures, gold_grids = _load(args)
     if not gold_grids:
         raise ValidationError("the pipeline needs gold grids to score against")
-    model = transitions.load_model(args.model)
+    model = _load_model(args, vocabulary)
     emissions = decoder.load_emissions(args.emissions, procedures, vocabulary)
     config = decoder.DecodeConfig(tau_exp=args.tau_exp, tau_imp=args.tau_imp)
     result = pipeline.run_pipeline(

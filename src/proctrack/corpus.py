@@ -377,7 +377,9 @@ def _parse_record(record, vocabulary: StateVocabulary, where: str):
     return procedure, grid
 
 
-def _iter_records(path):
+def iter_records(path):
+    """Yield ("path:line", record) for each non-blank line of a JSON-lines
+    file; a line that is not JSON raises ValidationError naming it."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -398,7 +400,7 @@ def load_corpus(path, vocabulary: StateVocabulary):
     procedures: list[Procedure] = []
     grids: dict[str, AnnotationGrid] = {}
     seen = set()
-    for where, record in _iter_records(path):
+    for where, record in iter_records(path):
         procedure, grid = _parse_record(record, vocabulary, where)
         if procedure.id in seen:
             raise ValidationError(f"{where}: duplicate procedure id {procedure.id!r}")
@@ -427,7 +429,7 @@ def load_predictions(path, procedures: list[Procedure], vocabulary: StateVocabul
     by_id = {p.id: p for p in procedures}
     grids: dict[str, AnnotationGrid] = {}
     violations: list[tuple[str, Violation]] = []
-    for where, record in _iter_records(path):
+    for where, record in iter_records(path):
         if not isinstance(record, dict) or "id" not in record:
             raise ValidationError(f"{where}: record must be an object with an 'id'")
         proc_id = record["id"]
@@ -475,11 +477,6 @@ def save_corpus(procedures, grids, path) -> None:
         for procedure in procedures:
             record = _record_dict(procedure, grids.get(procedure.id) if grids else None)
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
-def save_predictions(procedures, grids, path) -> None:
-    """Write prediction grids in the corpus record layout."""
-    save_corpus(procedures, grids, path)
 
 
 @dataclass(frozen=True)

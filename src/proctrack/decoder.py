@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Entity, Procedure, StateVocabulary
+from .corpus import Entity, Procedure, StateVocabulary, iter_records
 from .errors import NoValidPathError, ValidationError
 from .transitions import TransitionModel
 
@@ -191,48 +191,42 @@ def load_emissions(path, procedures, vocabulary: StateVocabulary):
     """
     by_id = {p.id: p for p in procedures}
     sets: dict[str, EmissionSet] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{where}: bad JSON: {exc}") from None
-            try:
-                proc_id = record["procedure_id"]
-                entity_id = record["entity_id"]
-                logits = record["state_logits"]
-                preds = record["location_preds"]
-            except (KeyError, TypeError) as exc:
-                raise ValidationError(f"{where}: missing field: {exc}") from None
-            procedure = by_id.get(proc_id)
-            if procedure is None:
-                raise ValidationError(f"{where}: unknown procedure id {proc_id!r}")
-            if all(e.id != entity_id for e in procedure.entities):
-                raise ValidationError(
-                    f"{where}: unknown entity {entity_id!r} in procedure {proc_id!r}")
-            try:
-                track = EmissionTrack(
-                    state_logits=np.array(logits, dtype=float),
-                    location_preds=tuple(str(p) for p in preds),
-                )
-            except (ValueError, ValidationError) as exc:
-                raise ValidationError(f"{where}: {exc}") from None
-            if track.num_steps != procedure.num_steps:
-                raise ValidationError(
-                    f"{where}: {track.num_steps} logit rows for "
-                    f"{procedure.num_steps} steps")
-            if track.state_logits.shape[1] != vocabulary.size:
-                raise ValidationError(
-                    f"{where}: {track.state_logits.shape[1]} logit columns for "
-                    f"{vocabulary.size} labels")
-            bucket = sets.setdefault(proc_id, EmissionSet(proc_id, {}))
-            if entity_id in bucket.tracks:
-                raise ValidationError(f"{where}: duplicate emissions for "
-                                      f"({proc_id!r}, {entity_id!r})")
-            bucket.tracks[entity_id] = track
+    for where, record in iter_records(path):
+        try:
+            proc_id = record["procedure_id"]
+            entity_id = record["entity_id"]
+            logits = record["state_logits"]
+            preds = record["location_preds"]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"{where}: missing field: {exc}") from None
+        if not isinstance(preds, list) or not all(isinstance(p, str) for p in preds):
+            raise ValidationError(f"{where}: 'location_preds' must be a list of strings")
+        procedure = by_id.get(proc_id)
+        if procedure is None:
+            raise ValidationError(f"{where}: unknown procedure id {proc_id!r}")
+        if all(e.id != entity_id for e in procedure.entities):
+            raise ValidationError(
+                f"{where}: unknown entity {entity_id!r} in procedure {proc_id!r}")
+        try:
+            track = EmissionTrack(
+                state_logits=np.array(logits, dtype=float),
+                location_preds=tuple(preds),
+            )
+        except (ValueError, ValidationError) as exc:
+            raise ValidationError(f"{where}: {exc}") from None
+        if track.num_steps != procedure.num_steps:
+            raise ValidationError(
+                f"{where}: {track.num_steps} logit rows for "
+                f"{procedure.num_steps} steps")
+        if track.state_logits.shape[1] != vocabulary.size:
+            raise ValidationError(
+                f"{where}: {track.state_logits.shape[1]} logit columns for "
+                f"{vocabulary.size} labels")
+        bucket = sets.setdefault(proc_id, EmissionSet(proc_id, {}))
+        if entity_id in bucket.tracks:
+            raise ValidationError(f"{where}: duplicate emissions for "
+                                  f"({proc_id!r}, {entity_id!r})")
+        bucket.tracks[entity_id] = track
     return sets
 
 

@@ -115,10 +115,6 @@ def _check_coverage(gold_grids: dict[str, AnnotationGrid],
                     f"prediction length mismatch for ({proc_id!r}, {entity_id!r})")
 
 
-def _loc_key(loc) -> tuple:
-    return loc.key()
-
-
 def _document_tuples(grids: dict[str, AnnotationGrid]):
     inputs, outputs, conversions, moves = set(), set(), set(), set()
     for proc_id, grid in grids.items():
@@ -134,15 +130,15 @@ def _document_tuples(grids: dict[str, AnnotationGrid]):
             for t, state in enumerate(track.states, start=1):
                 if state == "move":
                     moves.add((proc_id, entity_id, t,
-                               _loc_key(track.locations[t - 1]),
-                               _loc_key(track.locations[t])))
+                               track.locations[t - 1].key(),
+                               track.locations[t].key()))
                 elif state == "destroy":
                     # An entity is destroyed where it last was.
                     destroyed.setdefault(t, []).append(
-                        (entity_id, _loc_key(track.locations[t - 1])))
+                        (entity_id, track.locations[t - 1].key()))
                 elif state == "create":
                     created.setdefault(t, []).append(
-                        (entity_id, _loc_key(track.locations[t])))
+                        (entity_id, track.locations[t].key()))
         for t, gone in destroyed.items():
             for died, died_at in gone:
                 for born, born_at in created.get(t, []):
@@ -182,11 +178,11 @@ def _event_args(track: Track | None, event: str, steps: set[int]):
     args = []
     for t in sorted(steps):
         if event == "create":
-            args.append(_loc_key(track.locations[t]))
+            args.append(track.locations[t].key())
         elif event == "destroy":
-            args.append(_loc_key(track.locations[t - 1]))
+            args.append(track.locations[t - 1].key())
         else:
-            args.append((_loc_key(track.locations[t - 1]), _loc_key(track.locations[t])))
+            args.append((track.locations[t - 1].key(), track.locations[t].key()))
     return tuple(args)
 
 
@@ -241,8 +237,8 @@ def _change_tuples(grids: dict[str, AnnotationGrid]) -> set:
     for proc_id, grid in grids.items():
         for entity_id, track in grid.entries.items():
             for t in range(1, track.num_steps + 1):
-                here = _loc_key(track.locations[t])
-                if here != _loc_key(track.locations[t - 1]):
+                here = track.locations[t].key()
+                if here != track.locations[t - 1].key():
                     changes.add((proc_id, entity_id, t, here))
     return changes
 

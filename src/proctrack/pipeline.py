@@ -13,9 +13,10 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from .consistency import resolve
-from .corpus import AnnotationGrid, StateVocabulary, Track, save_predictions
+from .corpus import AnnotationGrid, StateVocabulary, save_corpus
 from .decoder import (
     DecodeConfig,
     argmax_states,
@@ -25,7 +26,9 @@ from .decoder import (
 )
 from .errors import DecodeError
 from .evaluator import (
+    DocumentReport,
     QuestionScore,
+    SentenceReport,
     SplitReport,
     eval_document_level,
     eval_recipes_locations,
@@ -38,11 +41,18 @@ log = logging.getLogger(__name__)
 
 
 @dataclass
-class PipelineResult:
-    pred_grids: dict[str, AnnotationGrid]
-    document: object
-    sentence: object
+class Scores:
+    """Every score `evaluate` reports; `run_pipeline` adds the rest."""
+
+    document: DocumentReport
+    sentence: SentenceReport
     recipes_location: QuestionScore | None
+    per_procedure: dict[str, DocumentReport] | None
+
+
+@dataclass
+class PipelineResult(Scores):
+    pred_grids: dict[str, AnnotationGrid]
     split_argmax: SplitReport
     split_decoded: SplitReport
     repair_counts: dict[str, int]
@@ -50,33 +60,13 @@ class PipelineResult:
     config: DecodeConfig
     vocabulary: StateVocabulary
     seed: int | None = None
-    per_procedure: dict | None = None
     decoded_states: dict = field(default_factory=dict)
 
 
-def _decode_unit(args):
-    """Decode one procedure's entities; used both inline and in workers."""
-    procedure, tracks, model, config, relax = args
-    out = []
-    for entity_id, track in tracks:
-        entity = procedure.entity(entity_id)
-        flags = detect_mentions(procedure, entity)
-        weighted = weight_emissions(track.state_logits, flags, config)
-        try:
-            states, score = viterbi(weighted, model, relax=relax)
-        except DecodeError as exc:
-            raise type(exc)(
-                f"procedure {procedure.id!r}, entity {entity_id!r}: {exc}") from exc
-        raw = argmax_states(track.state_logits, model.vocabulary)
-        out.append((entity_id, states, score, raw, flags))
-    return procedure.id, out
-
-
-def run_pipeline(procedures, gold_grids, emissions, model: TransitionModel,
-                 vocabulary: StateVocabulary, config: DecodeConfig | None = None,
-                 relax: bool = False, jobs: int = 1, seed: int | None = None,
-                 per_procedure: bool = False) -> PipelineResult:
-    config = config or DecodeConfig()
+def join(procedures, gold_grids, emissions):
+    """Pair every gold entity with its emission track. Returns (units, missing):
+    one (procedure, [(entity_id, track), ...]) per procedure with gold, in
+    corpus order, and the (procedure id, entity id) pairs without emissions."""
     units = []
     missing: list[tuple[str, str]] = []
     for procedure in procedures:
@@ -89,72 +79,97 @@ def run_pipeline(procedures, gold_grids, emissions, model: TransitionModel,
             track = eset.tracks.get(entity_id) if eset else None
             if track is None:
                 missing.append((procedure.id, entity_id))
-                continue
-            tracks.append((entity_id, track))
-        units.append((procedure, tracks, model, config, relax))
+            else:
+                tracks.append((entity_id, track))
+        units.append((procedure, tracks))
+    return units, missing
+
+
+def decode_unit(procedure, tracks, model: TransitionModel, config: DecodeConfig,
+                relax: bool = False):
+    """Decode one procedure's (entity_id, track) pairs; used inline and in
+    workers. Returns one (entity_id, states, path score, argmax states,
+    mention flags) row per track; a DecodeError names the entity."""
+    out = []
+    for entity_id, track in tracks:
+        flags = detect_mentions(procedure, procedure.entity(entity_id))
+        weighted = weight_emissions(track.state_logits, flags, config)
+        try:
+            states, path_score = viterbi(weighted, model, relax=relax)
+        except DecodeError as exc:
+            raise type(exc)(
+                f"procedure {procedure.id!r}, entity {entity_id!r}: {exc}") from exc
+        raw = argmax_states(track.state_logits, model.vocabulary)
+        out.append((entity_id, states, path_score, raw, flags))
+    return out
+
+
+def score(gold_grids, pred_grids, vocabulary: StateVocabulary,
+          per_procedure: bool = False) -> Scores:
+    """Score prediction grids against gold. Location changes are scored for
+    recipes only; per_procedure adds each gold procedure's document score."""
+    recipes = None
+    if vocabulary.name == "recipes":
+        recipes = eval_recipes_locations(gold_grids, pred_grids, vocabulary)
+    per_proc = None
+    if per_procedure:
+        per_proc = {
+            proc_id: eval_document_level(
+                {proc_id: gold_grids[proc_id]},
+                {proc_id: pred_grids.get(proc_id, AnnotationGrid(proc_id, {}))})
+            for proc_id in sorted(gold_grids)
+        }
+    return Scores(eval_document_level(gold_grids, pred_grids),
+                  eval_sentence_level(gold_grids, pred_grids), recipes, per_proc)
+
+
+def run_pipeline(procedures, gold_grids, emissions, model: TransitionModel,
+                 vocabulary: StateVocabulary, config: DecodeConfig | None = None,
+                 relax: bool = False, jobs: int = 1, seed: int | None = None,
+                 per_procedure: bool = False) -> PipelineResult:
+    config = config or DecodeConfig()
+    units, missing = join(procedures, gold_grids, emissions)
     for proc_id, entity_id in missing:
         log.warning("no emissions for procedure %r entity %r; scoring an empty track",
                     proc_id, entity_id)
 
+    decode = partial(decode_unit, model=model, config=config, relax=relax)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            decoded_units = list(pool.map(_decode_unit, units))
+            decoded_units = list(pool.map(decode, *zip(*units)))
     else:
-        decoded_units = [_decode_unit(unit) for unit in units]
+        decoded_units = [decode(procedure, tracks) for procedure, tracks in units]
 
-    by_proc = {p.id: p for p in procedures}
+    # Every procedure with gold gets a grid, empty when all of its entities
+    # lacked emissions, so the evaluator counts it against recall.
     pred_grids: dict[str, AnnotationGrid] = {}
     decoded_states: dict[tuple[str, str], list[str]] = {}
     raw_states: dict[tuple[str, str], list[str]] = {}
     flags_map: dict[tuple[str, str], tuple[bool, ...]] = {}
     repair_counts: dict[str, int] = {}
-    for proc_id, rows in decoded_units:
-        eset = emissions.get(proc_id)
-        grid = pred_grids.setdefault(proc_id, AnnotationGrid(proc_id, {}))
-        for entity_id, states, _score, raw, flags in rows:
-            track = eset.tracks[entity_id]
+    for (procedure, tracks), rows in zip(units, decoded_units):
+        proc_id = procedure.id
+        grid = pred_grids[proc_id] = AnnotationGrid(proc_id, {})
+        for (_, track), (entity_id, states, _score, raw, flags) in zip(tracks, rows):
             resolved = resolve(states, track.location_preds, vocabulary)
             for repair in resolved.repairs:
                 repair_counts[repair.rule] = repair_counts.get(repair.rule, 0) + 1
-            grid.entries[entity_id] = Track(states=resolved.states,
-                                            locations=resolved.locations)
+            grid.entries[entity_id] = resolved.track()
             decoded_states[proc_id, entity_id] = states
             raw_states[proc_id, entity_id] = raw
             flags_map[proc_id, entity_id] = flags
-    # Procedures whose every entity lacked emissions still need a (fully
-    # empty) grid so the evaluator counts them against recall.
-    for proc_id, entity_id in missing:
-        pred_grids.setdefault(proc_id, AnnotationGrid(proc_id, {}))
 
-    document = eval_document_level(gold_grids, pred_grids)
-    sentence = eval_sentence_level(gold_grids, pred_grids)
-    recipes = None
-    if vocabulary.name == "recipes":
-        recipes = eval_recipes_locations(gold_grids, pred_grids, vocabulary)
-    split_decoded = eval_split(gold_grids, decoded_states, flags_map)
-    split_argmax = eval_split(gold_grids, raw_states, flags_map)
-
-    per_proc = None
-    if per_procedure:
-        per_proc = {}
-        for proc_id in sorted(pred_grids):
-            doc = eval_document_level(
-                {proc_id: gold_grids[proc_id]}, {proc_id: pred_grids[proc_id]})
-            per_proc[proc_id] = doc
-
+    scores = score(gold_grids, pred_grids, vocabulary, per_procedure)
     return PipelineResult(
+        **vars(scores),
         pred_grids=pred_grids,
-        document=document,
-        sentence=sentence,
-        recipes_location=recipes,
-        split_argmax=split_argmax,
-        split_decoded=split_decoded,
+        split_argmax=eval_split(gold_grids, raw_states, flags_map),
+        split_decoded=eval_split(gold_grids, decoded_states, flags_map),
         repair_counts=dict(sorted(repair_counts.items())),
         missing=missing,
         config=config,
         vocabulary=vocabulary,
         seed=seed,
-        per_procedure=per_proc,
         decoded_states=decoded_states,
     )
 
@@ -187,8 +202,34 @@ def split_dict(split: SplitReport) -> dict:
     return {"explicit": bucket(split.explicit), "implicit": bucket(split.implicit)}
 
 
+def score_dict(scores: Scores) -> dict:
+    """The score blocks of report.json, which `evaluate` prints as they are."""
+    def category(cat):
+        return {"score": cat.score, "correct": cat.n_correct, "scored": cat.n_scored}
+
+    sentence = scores.sentence
+    payload = {
+        "document_level": document_dict(scores.document),
+        "sentence_level": {
+            "cat1": category(sentence.cat1),
+            "cat2": category(sentence.cat2),
+            "cat3": category(sentence.cat3),
+            "macro": sentence.macro,
+            "micro": sentence.micro,
+        },
+        "recipes_location_changes": (
+            question_dict(scores.recipes_location)
+            if scores.recipes_location is not None else None),
+    }
+    if scores.per_procedure is not None:
+        payload["per_procedure"] = {
+            proc_id: document_dict(doc)
+            for proc_id, doc in scores.per_procedure.items()
+        }
+    return payload
+
+
 def report_dict(result: PipelineResult) -> dict:
-    sentence = result.sentence
     payload = {
         "config": {
             "vocabulary": result.vocabulary.name,
@@ -201,30 +242,15 @@ def report_dict(result: PipelineResult) -> dict:
             "missing_emissions": len(result.missing),
         },
         "consistency_repairs": result.repair_counts,
-        "document_level": document_dict(result.document),
-        "sentence_level": {
-            "cat1": {"score": sentence.cat1.score, "correct": sentence.cat1.n_correct,
-                     "scored": sentence.cat1.n_scored},
-            "cat2": {"score": sentence.cat2.score, "correct": sentence.cat2.n_correct,
-                     "scored": sentence.cat2.n_scored},
-            "cat3": {"score": sentence.cat3.score, "correct": sentence.cat3.n_correct,
-                     "scored": sentence.cat3.n_scored},
-            "macro": sentence.macro,
-            "micro": sentence.micro,
-        },
-        "recipes_location_changes": (
-            question_dict(result.recipes_location)
-            if result.recipes_location is not None else None),
+        **score_dict(result),
         "split_accuracy": {
             "argmax": split_dict(result.split_argmax),
             "decoded": split_dict(result.split_decoded),
         },
     }
     if result.per_procedure is not None:
-        payload["per_procedure"] = {
-            proc_id: document_dict(doc)
-            for proc_id, doc in result.per_procedure.items()
-        }
+        # Re-inserted so that it stays the last block.
+        payload["per_procedure"] = payload.pop("per_procedure")
     return payload
 
 
@@ -272,8 +298,8 @@ def render_report(result: PipelineResult) -> str:
 
 def write_outputs(result: PipelineResult, procedures, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    save_predictions(procedures, result.pred_grids,
-                     os.path.join(out_dir, "predictions.jsonl"))
+    save_corpus(procedures, result.pred_grids,
+                os.path.join(out_dir, "predictions.jsonl"))
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as handle:
         json.dump(report_dict(result), handle, ensure_ascii=False, indent=2)
         handle.write("\n")

@@ -14,10 +14,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .consistency import resolve
-from .corpus import AnnotationGrid, StateVocabulary, Track
+from .corpus import AnnotationGrid, StateVocabulary
 from .decoder import DecodeConfig, detect_mentions, viterbi, weight_emissions
 from .errors import ToolkitError, ValidationError
 from .evaluator import eval_document_level
+from .pipeline import join
 from .transitions import TransitionModel
 
 
@@ -46,8 +47,7 @@ def _score_cell(state, cell):
             resolved = resolve(states, track.location_preds, vocabulary)
             grid_pred = pred_grids.setdefault(
                 proc_id, AnnotationGrid(procedure_id=proc_id, entries={}))
-            grid_pred.entries[entity_id] = Track(
-                states=resolved.states, locations=resolved.locations)
+            grid_pred.entries[entity_id] = resolved.track()
     except ToolkitError as exc:
         raise type(exc)(f"grid cell ({tau_exp}, {tau_imp}): {exc}") from exc
     f1 = eval_document_level(gold_grids, pred_grids).macro_f1
@@ -80,18 +80,10 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
             raise ValidationError(f"tuning grid values must be positive, got {tau}")
 
     # Decode inputs are fixed across cells; hoist everything reusable.
-    units = []
-    for procedure in procedures:
-        grid_gold = gold_grids.get(procedure.id)
-        eset = emissions.get(procedure.id)
-        if grid_gold is None or eset is None:
-            continue
-        for entity_id in grid_gold.entries:
-            track = eset.tracks.get(entity_id)
-            if track is None:
-                continue
-            flags = detect_mentions(procedure, procedure.entity(entity_id))
-            units.append((procedure.id, entity_id, track, flags))
+    joined, _ = join(procedures, gold_grids, emissions)
+    units = [(procedure.id, entity_id, track,
+              detect_mentions(procedure, procedure.entity(entity_id)))
+             for procedure, tracks in joined for entity_id, track in tracks]
 
     values = sorted(set(taus))
     cells = [(tau_exp, tau_imp) for tau_exp in values for tau_imp in values]

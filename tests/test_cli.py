@@ -69,15 +69,93 @@ def test_synth_decode_resolve_evaluate_chain(tmp_path, capsys):
 
 
 def test_pipeline_matches_split_commands(tmp_path):
+    decoded = tmp_path / "decoded.jsonl"
+    predictions = tmp_path / "predictions.jsonl"
+    scores = tmp_path / "scores.json"
     out_dir = tmp_path / "run"
+    model_args = ["--emissions", str(EMISSIONS_PROPARA), "--model", str(MODEL_PROPARA)]
+    assert main(["decode", *_corpus_args(), *model_args, "--out", str(decoded)]) == EXIT_OK
     assert main([
-        "pipeline", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
-        "--model", str(MODEL_PROPARA), "--seed", "0", "--out", str(out_dir),
+        "resolve", *_corpus_args(), "--decoded", str(decoded),
+        "--emissions", str(EMISSIONS_PROPARA), "--out", str(predictions),
     ]) == EXIT_OK
+    assert main([
+        "evaluate", *_corpus_args(), "--predictions", str(predictions),
+        "--per-procedure", "--out", str(scores),
+    ]) == EXIT_OK
+    assert main([
+        "pipeline", *_corpus_args(), *model_args, "--seed", "0",
+        "--per-procedure", "--out", str(out_dir),
+    ]) == EXIT_OK
+    assert predictions.read_bytes() == (out_dir / "predictions.jsonl").read_bytes()
     report = json.loads((out_dir / "report.json").read_text())
     assert report["config"] == {
         "vocabulary": "propara", "tau_exp": 0.6, "tau_imp": 0.7, "seed": 0,
     }
+    evaluated = json.loads(scores.read_text())
+    for key, value in evaluated.items():
+        assert value == report[key], key
+    assert set(evaluated) == {"document_level", "sentence_level",
+                              "recipes_location_changes", "per_procedure"}
+
+
+def _rewrite_line(source, target, lineno, field, make_value):
+    """Copy a JSON-lines file, replacing one field of one record."""
+    lines = source.read_text().splitlines()
+    record = json.loads(lines[lineno - 1])
+    record[field] = make_value(record[field])
+    lines[lineno - 1] = json.dumps(record)
+    target.write_text("\n".join(lines) + "\n")
+
+
+MALFORMED_LISTS = {
+    "number": lambda items: 5,
+    "null": lambda items: None,
+    "string": lambda items: "c" * len(items),
+    "numbers": lambda items: list(range(len(items))),
+}
+
+
+@pytest.mark.parametrize("make_value", MALFORMED_LISTS.values(), ids=list(MALFORMED_LISTS))
+@pytest.mark.parametrize("field", ["location_preds", "states"])
+def test_malformed_list_fields_exit_two_with_line(tmp_path, capsys, field, make_value):
+    if field == "location_preds":
+        bad = tmp_path / "emissions.jsonl"
+        _rewrite_line(EMISSIONS_PROPARA, bad, 2, field, make_value)
+        argv = ["decode", "--emissions", str(bad), "--model", str(MODEL_PROPARA)]
+    else:
+        decoded = tmp_path / "decoded.jsonl"
+        assert main(["decode", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                     "--model", str(MODEL_PROPARA), "--out", str(decoded)]) == EXIT_OK
+        bad = tmp_path / "bad_decoded.jsonl"
+        _rewrite_line(decoded, bad, 2, field, make_value)
+        argv = ["resolve", "--decoded", str(bad), "--emissions", str(EMISSIONS_PROPARA)]
+    capsys.readouterr()
+    code = main([*argv, *_corpus_args(), "--out", str(tmp_path / "out.jsonl")])
+    assert code == EXIT_VALIDATION
+    assert f"error: {bad}:2: " in capsys.readouterr().err
+
+
+MODEL_MISMATCHES = {
+    "labels": lambda m: m.update(labels=[m["labels"][1], m["labels"][0], *m["labels"][2:]]),
+    "name": lambda m: m.update(vocabulary="recipes"),
+    "nonexistent": lambda m: m.update(nonexistent_states=["outside_after"]),
+}
+
+
+@pytest.mark.parametrize("mutate", MODEL_MISMATCHES.values(), ids=list(MODEL_MISMATCHES))
+@pytest.mark.parametrize("command", ["decode", "tune", "pipeline"])
+def test_model_vocabulary_mismatch_exits_two(tmp_path, capsys, command, mutate):
+    payload = json.loads(MODEL_PROPARA.read_text())
+    mutate(payload)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    out = tmp_path / ("run" if command == "pipeline" else "out.json")
+    code = main([command, *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                 "--model", str(model), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "does not match --vocab 'propara'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tune_prints_best_cell(tmp_path, capsys):
