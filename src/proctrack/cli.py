@@ -144,6 +144,8 @@ def cmd_resolve(args) -> int:
             states = record["states"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"{where}: bad decoded record: {exc}") from None
+        if not (isinstance(proc_id, str) and isinstance(entity_id, str)):
+            raise ValidationError(f"{where}: 'procedure_id' and 'entity_id' must be strings")
         if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
             raise ValidationError(f"{where}: 'states' must be a list of strings")
         if proc_id not in known:
@@ -190,7 +192,7 @@ def cmd_tune(args) -> int:
     emissions = decoder.load_emissions(args.emissions, procedures, vocabulary)
     grid = _parse_grid(args.grid) if args.grid else None
     result = tuner.tune(procedures, gold_grids, emissions, model, vocabulary,
-                        grid=grid, relax=args.relax, jobs=args.jobs)
+                        grid=grid, relax=args.relax)
     payload = {
         "best": {"tau_exp": result.tau_exp, "tau_imp": result.tau_imp,
                  "macro_f1": result.f1},
@@ -294,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model", required=True)
     sub.add_argument("--grid", default=None, help="start:stop:step (default 0.1:1.5:0.1)")
     sub.add_argument("--relax", action="store_true")
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="accepted and ignored: tune runs in one process")
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=cmd_tune)
 

@@ -433,6 +433,8 @@ def load_predictions(path, procedures: list[Procedure], vocabulary: StateVocabul
         if not isinstance(record, dict) or "id" not in record:
             raise ValidationError(f"{where}: record must be an object with an 'id'")
         proc_id = record["id"]
+        if not isinstance(proc_id, str):
+            raise ValidationError(f"{where}: 'id' must be a string")
         procedure = by_id.get(proc_id)
         if procedure is None:
             raise ValidationError(f"{where}: unknown procedure id {proc_id!r}")

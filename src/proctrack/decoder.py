@@ -146,24 +146,40 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False):
         start = np.where(np.isneginf(start), RELAX_SCORE, start)
         trans = np.where(np.isneginf(trans), RELAX_SCORE, trans)
 
+    # Max-plus over Python floats: the same IEEE additions in the same order
+    # as a numpy formulation, without its per-step array overhead at L <= 6.
+    # A vetoed edge only adds -inf, which never beats the -inf a state starts
+    # from, so skipping it leaves every score and backpointer unchanged.
     T = U.shape[0]
-    dp = start + U[0]
-    backptr = np.zeros((T, size), dtype=int)
-    for t in range(1, T):
-        cand = dp[:, None] + trans          # cand[p, q]: best ending in p, then p->q
-        best_prev = cand.argmax(axis=0)     # first max = lowest predecessor index
-        dp = cand[best_prev, np.arange(size)] + U[t]
-        backptr[t] = best_prev
+    veto = -np.inf
+    rows = U.tolist()
+    incoming = [[(p, s) for p, s in enumerate(col) if s != veto]
+                for col in trans.T.tolist()]   # incoming[q]: (p, score of p -> q)
+    dp = [s + u for s, u in zip(start.tolist(), rows[0])]
+    backptr = []
+    for row in rows[1:]:
+        best_prev = []
+        step = []
+        for edges, u in zip(incoming, row):
+            best, arg = veto, 0
+            for p, s in edges:
+                cand = dp[p] + s
+                if cand > best:                 # strict: lowest predecessor wins ties
+                    best, arg = cand, p
+            step.append(best + u)
+            best_prev.append(arg)
+        dp = step
+        backptr.append(best_prev)
 
-    last = int(dp.argmax())
-    score = float(dp[last])
-    if score == -np.inf:
+    last = max(range(size), key=dp.__getitem__)
+    score = dp[last]
+    if score == veto:
         raise NoValidPathError(
             f"no state sequence of length {T} has finite score under the model")
 
     path = [last]
-    for t in range(T - 1, 0, -1):
-        path.append(int(backptr[t][path[-1]]))
+    for best_prev in reversed(backptr):
+        path.append(best_prev[path[-1]])
     path.reverse()
     return [model.vocabulary.labels[i] for i in path], score
 
@@ -199,6 +215,8 @@ def load_emissions(path, procedures, vocabulary: StateVocabulary):
             preds = record["location_preds"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"{where}: missing field: {exc}") from None
+        if not (isinstance(proc_id, str) and isinstance(entity_id, str)):
+            raise ValidationError(f"{where}: 'procedure_id' and 'entity_id' must be strings")
         if not isinstance(preds, list) or not all(isinstance(p, str) for p in preds):
             raise ValidationError(f"{where}: 'location_preds' must be a list of strings")
         procedure = by_id.get(proc_id)

@@ -147,12 +147,10 @@ def _document_tuples(grids: dict[str, AnnotationGrid]):
     return inputs, outputs, conversions, moves
 
 
-def eval_document_level(gold_grids: dict[str, AnnotationGrid],
-                        pred_grids: dict[str, AnnotationGrid]) -> DocumentReport:
-    _check_coverage(gold_grids, pred_grids)
-    gold_tuples = _document_tuples(gold_grids)
-    pred_tuples = _document_tuples(pred_grids)
-    scores = [_score_sets(p, g) for p, g in zip(pred_tuples, gold_tuples)]
+def document_report(counts) -> DocumentReport:
+    """Scores from (n_pred, n_gold, n_correct) for each question, in the
+    order inputs, outputs, conversions, moves."""
+    scores = [_prf(*c) for c in counts]
     return DocumentReport(
         inputs=scores[0],
         outputs=scores[1],
@@ -162,6 +160,15 @@ def eval_document_level(gold_grids: dict[str, AnnotationGrid],
         macro_recall=sum(s.recall for s in scores) / 4,
         macro_f1=sum(s.f1 for s in scores) / 4,
     )
+
+
+def eval_document_level(gold_grids: dict[str, AnnotationGrid],
+                        pred_grids: dict[str, AnnotationGrid]) -> DocumentReport:
+    _check_coverage(gold_grids, pred_grids)
+    gold_tuples = _document_tuples(gold_grids)
+    pred_tuples = _document_tuples(pred_grids)
+    return document_report([(len(p), len(g), len(p & g))
+                            for p, g in zip(pred_tuples, gold_tuples)])
 
 
 def _event_steps(track: Track | None, event: str) -> set[int]:

@@ -1,4 +1,6 @@
-"""Shared test utilities: brute-force decoding oracle and random model builders."""
+"""Shared test utilities: brute-force decoding oracle, reference
+implementations of the decoder kernel and the tuner, and random model
+builders."""
 
 from __future__ import annotations
 
@@ -7,8 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
-from proctrack.corpus import PROPARA, StateVocabulary
+from proctrack.consistency import resolve
+from proctrack.corpus import PROPARA, AnnotationGrid, StateVocabulary
+from proctrack.decoder import RELAX_SCORE, DecodeConfig, detect_mentions, weight_emissions
+from proctrack.errors import NoValidPathError
+from proctrack.evaluator import eval_document_level
+from proctrack.pipeline import join
 from proctrack.transitions import TransitionModel
+from proctrack.tuner import TuneResult, default_grid
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -65,6 +73,68 @@ def path_score(labels, emissions: np.ndarray, model: TransitionModel) -> float:
     for t in range(1, len(labels)):
         s = s + model.trans_scores[labels[t - 1], labels[t]] + scores[t, labels[t]]
     return float(s)
+
+
+def reference_viterbi(emissions, model: TransitionModel, relax: bool = False):
+    """The decoder's Viterbi as a numpy loop over steps: one (L, L) candidate
+    matrix per step, argmax for the lowest-index backpointer. Returns
+    (labels, score) like `decoder.viterbi`, without its input checks."""
+    U = np.asarray(emissions, dtype=float)
+    size = model.vocabulary.size
+    start = model.start_scores
+    trans = model.trans_scores
+    if relax:
+        start = np.where(np.isneginf(start), RELAX_SCORE, start)
+        trans = np.where(np.isneginf(trans), RELAX_SCORE, trans)
+
+    T = U.shape[0]
+    dp = start + U[0]
+    backptr = np.zeros((T, size), dtype=int)
+    for t in range(1, T):
+        cand = dp[:, None] + trans
+        best_prev = cand.argmax(axis=0)
+        dp = cand[best_prev, np.arange(size)] + U[t]
+        backptr[t] = best_prev
+
+    last = int(dp.argmax())
+    score = float(dp[last])
+    if score == -np.inf:
+        raise NoValidPathError(
+            f"no state sequence of length {T} has finite score under the model")
+    path = [last]
+    for t in range(T - 1, 0, -1):
+        path.append(int(backptr[t][path[-1]]))
+    path.reverse()
+    return [model.vocabulary.labels[i] for i in path], score
+
+
+def reference_tune(procedures, gold_grids, emissions, model: TransitionModel,
+                   vocabulary: StateVocabulary, grid=None, relax: bool = False):
+    """The tuner as a plain per-cell loop: every cell weights, decodes and
+    resolves every entity, then scores the whole split in one call."""
+    values = sorted(set(grid if grid is not None else default_grid()))
+    joined, _ = join(procedures, gold_grids, emissions)
+    units = [(procedure.id, entity_id, track,
+              detect_mentions(procedure, procedure.entity(entity_id)))
+             for procedure, tracks in joined for entity_id, track in tracks]
+    rows = []
+    for tau_exp in values:
+        for tau_imp in values:
+            config = DecodeConfig(tau_exp=tau_exp, tau_imp=tau_imp)
+            pred_grids: dict[str, AnnotationGrid] = {}
+            for proc_id, entity_id, track, flags in units:
+                weighted = weight_emissions(track.state_logits, flags, config)
+                states, _ = reference_viterbi(weighted, model, relax=relax)
+                resolved = resolve(states, track.location_preds, vocabulary)
+                pred_grids.setdefault(proc_id, AnnotationGrid(proc_id, {})).entries[
+                    entity_id] = resolved.track()
+            f1 = eval_document_level(gold_grids, pred_grids).macro_f1
+            rows.append((tau_exp, tau_imp, f1))
+    best = None
+    for row in rows:
+        if best is None or row[2] > best[2]:
+            best = row
+    return TuneResult(tau_exp=best[0], tau_imp=best[1], f1=best[2], table=tuple(rows))
 
 
 def fuzz_vocabulary(n_labels: int) -> StateVocabulary:
@@ -150,6 +220,8 @@ __all__ = [
     "brute_force_decode",
     "exhaustive_best_score",
     "path_score",
+    "reference_viterbi",
+    "reference_tune",
     "fuzz_vocabulary",
     "random_model",
     "random_walk_states",

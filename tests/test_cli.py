@@ -136,6 +136,33 @@ def test_malformed_list_fields_exit_two_with_line(tmp_path, capsys, field, make_
     assert f"error: {bad}:2: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, field", [
+    ("decode", "procedure_id"),
+    ("decode", "entity_id"),
+    ("resolve", "procedure_id"),
+    ("resolve", "entity_id"),
+    ("evaluate", "id"),
+])
+def test_non_string_ids_exit_two_with_line(tmp_path, capsys, command, field):
+    bad = tmp_path / "bad.jsonl"
+    if command == "decode":
+        source = EMISSIONS_PROPARA
+        argv = ["decode", "--emissions", str(bad), "--model", str(MODEL_PROPARA)]
+    elif command == "resolve":
+        source = tmp_path / "decoded.jsonl"
+        assert main(["decode", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                     "--model", str(MODEL_PROPARA), "--out", str(source)]) == EXIT_OK
+        argv = ["resolve", "--decoded", str(bad), "--emissions", str(EMISSIONS_PROPARA)]
+    else:
+        source = CORPUS_PROPARA
+        argv = ["evaluate", "--predictions", str(bad)]
+    _rewrite_line(source, bad, 2, field, lambda value: [value])
+    capsys.readouterr()
+    code = main([*argv, *_corpus_args(), "--out", str(tmp_path / "out.jsonl")])
+    assert code == EXIT_VALIDATION
+    assert f"error: {bad}:2: " in capsys.readouterr().err
+
+
 MODEL_MISMATCHES = {
     "labels": lambda m: m.update(labels=[m["labels"][1], m["labels"][0], *m["labels"][2:]]),
     "name": lambda m: m.update(vocabulary="recipes"),
@@ -200,6 +227,22 @@ def test_undecodable_model_exits_three(tmp_path, capsys):
     ])
     assert code == EXIT_DECODE
     assert "decode error:" in capsys.readouterr().err
+
+
+def test_undecodable_model_in_tune_names_cell_and_entity(tmp_path, capsys):
+    model = load_model(MODEL_PROPARA)
+    model.start_scores = np.full(model.vocabulary.size, -np.inf)
+    degenerate = tmp_path / "degenerate.json"
+    save_model(model, degenerate)
+    code = main([
+        "tune", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+        "--model", str(degenerate), "--out", str(tmp_path / "tune.json"),
+    ])
+    assert code == EXIT_DECODE
+    first = json.loads(CORPUS_PROPARA.read_text().splitlines()[0])
+    assert (f"decode error: grid cell (0.1, 0.1): procedure {first['id']!r}, "
+            f"entity {next(iter(first['gold']))!r}: no state sequence"
+            ) in capsys.readouterr().err
 
 
 def test_relax_rescues_undecodable_model(tmp_path):

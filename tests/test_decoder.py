@@ -10,8 +10,9 @@ from helpers import (
     fuzz_vocabulary,
     path_score,
     random_model,
+    reference_viterbi,
 )
-from proctrack.corpus import PROPARA, Entity, LocationValue, Procedure, Track
+from proctrack.corpus import PROPARA, RECIPES, Entity, LocationValue, Procedure, Track
 from proctrack.corpus import AnnotationGrid
 from proctrack.corpus import load_corpus
 from proctrack.decoder import (
@@ -28,7 +29,8 @@ from proctrack.decoder import (
     weight_emissions,
 )
 from proctrack.errors import NoValidPathError, ValidationError
-from proctrack.transitions import estimate
+from proctrack.synth import make_corpus
+from proctrack.transitions import TransitionModel, estimate
 
 
 def _single_track_model():
@@ -196,6 +198,51 @@ def test_viterbi_matches_brute_force_on_random_instances():
         assert score == best
         indices = [model.vocabulary.index(s) for s in states]
         assert path_score(indices, emissions, model) == best
+
+
+def _kernel_models():
+    models = []
+    for vocabulary in (PROPARA, RECIPES):
+        _, grids = make_corpus(30, vocabulary, seed=11)
+        model = estimate(grids.values(), vocabulary)
+        models.append(model)
+        models.append(TransitionModel(
+            vocabulary=vocabulary,
+            start_scores=np.full(vocabulary.size, -np.inf),
+            trans_scores=model.trans_scores,
+        ))
+    return models
+
+
+KERNEL_MODELS = _kernel_models()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(range(len(KERNEL_MODELS))),
+    st.integers(min_value=1, max_value=13),
+    st.sampled_from([1.0, 1e4, 3e4]),
+    st.booleans(),
+    st.data(),
+)
+def test_viterbi_matches_numpy_reference(which, n_steps, scale, relax, data):
+    """Labels and score equal the numpy loop's, ties and large logits
+    included; a model with no finite start raises in both unless relaxed."""
+    model = KERNEL_MODELS[which]
+    size = model.vocabulary.size
+    logits = data.draw(st.lists(st.integers(-2, 2), min_size=n_steps * size,
+                                max_size=n_steps * size))
+    emissions = np.array(logits, dtype=float).reshape(n_steps, size) * scale
+    try:
+        expected = reference_viterbi(emissions, model, relax=relax)
+    except NoValidPathError:
+        with pytest.raises(NoValidPathError):
+            viterbi(emissions, model, relax=relax)
+        return
+    states, score = viterbi(emissions, model, relax=relax)
+    assert states == expected[0]
+    assert score == expected[1]
+    assert type(score) is float
 
 
 @settings(max_examples=40, deadline=None)

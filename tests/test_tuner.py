@@ -2,6 +2,8 @@
 
 import pytest
 
+from helpers import reference_tune
+
 from proctrack.corpus import PROPARA
 from proctrack.consistency import resolve
 from proctrack.corpus import AnnotationGrid
@@ -82,15 +84,25 @@ def test_ties_prefer_smaller_taus():
     assert (result.tau_exp, result.tau_imp) == (0.5, 0.5)
 
 
-def test_parallel_search_matches_sequential():
-    procedures, grids, model, emissions = _setup()
-    sequential = tune(
-        procedures, grids, emissions, model, PROPARA, grid=(0.5, 0.8), jobs=1
-    )
-    parallel = tune(
-        procedures, grids, emissions, model, PROPARA, grid=(0.5, 0.8), jobs=2
-    )
-    assert sequential == parallel
+@pytest.mark.parametrize("relax", [False, True])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tune_matches_per_cell_reference(seed, relax):
+    """Tuning by distinct decodes equals the per-cell loop, table floats
+    included, over the default grid. One gold entity has no emissions and
+    one gold procedure none at all. Relaxed runs scale the logits so that a
+    vetoed edge can outscore the relax penalty."""
+    procedures, grids, model, emissions = _setup(n=4, seed=seed)
+    first, last = procedures[0].id, procedures[-1].id
+    del emissions[first].tracks[next(iter(emissions[first].tracks))]
+    del emissions[last]
+    if relax:
+        for eset in emissions.values():
+            for track in eset.tracks.values():
+                track.state_logits = track.state_logits * 3e4
+    expected = reference_tune(procedures, grids, emissions, model, PROPARA, relax=relax)
+    result = tune(procedures, grids, emissions, model, PROPARA, relax=relax)
+    assert len(result.table) == len(default_grid()) ** 2
+    assert result == expected
 
 
 def test_grid_validation():
