@@ -50,7 +50,6 @@ def main(argv=None) -> int:
     parser.add_argument("--tau-imp", type=float, default=0.7)
     parser.add_argument("--tune", action="store_true",
                         help="grid-search the weights before the final run")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out-dir", required=True)
     args = parser.parse_args(argv)
 
@@ -78,15 +77,13 @@ def main(argv=None) -> int:
 
         config = DecodeConfig(tau_exp=args.tau_exp, tau_imp=args.tau_imp)
         if args.tune:
-            result = tune(eval_procs, eval_grids, emissions, model, vocabulary,
-                          jobs=args.jobs)
+            result = tune(eval_procs, eval_grids, emissions, model, vocabulary)
             print(f"tuned weights: tau_exp={result.tau_exp} "
                   f"tau_imp={result.tau_imp} macro_f1={result.f1:.4f}")
             config = DecodeConfig(tau_exp=result.tau_exp, tau_imp=result.tau_imp)
 
         outcome = run_pipeline(eval_procs, eval_grids, emissions, model,
-                               vocabulary, config, jobs=args.jobs,
-                               seed=args.seed)
+                               vocabulary, config, seed=args.seed)
         write_outputs(outcome, eval_procs, out_dir)
         print(render_report(outcome), end="")
         print(f"wrote corpus, model, emissions, and reports to {out_dir}")

@@ -20,6 +20,8 @@ EXIT_VALIDATION = 2
 EXIT_DECODE = 3
 EXIT_IO = 4
 
+log = logging.getLogger(__name__)
+
 
 def _add_corpus_args(sub):
     sub.add_argument("--corpus", required=True, help="corpus file (JSON lines)")
@@ -173,11 +175,23 @@ def cmd_evaluate(args) -> int:
         raise ValidationError("evaluation needs gold grids in the corpus file")
     pred_grids, violations = corpus.load_predictions(
         args.predictions, procedures, vocabulary)
+    by_rule: dict[str, list[str]] = {}
     for proc_id, violation in violations:
-        logging.getLogger(__name__).warning(
-            "inconsistent prediction %s/%s step %d: %s",
-            proc_id, violation.entity_id, violation.step, violation.message)
-    scores = pipeline.score(gold_grids, pred_grids, vocabulary, args.per_procedure)
+        by_rule.setdefault(violation.rule, []).append(
+            f"{proc_id}/{violation.entity_id} step {violation.step}")
+    for rule, where in sorted(by_rule.items()):
+        log.warning("inconsistent predictions: rule %s violated %d time(s), e.g. %s",
+                    rule, len(where), ", ".join(where[:3]))
+    # Score what `pipeline` scores: it decodes only the entities with gold.
+    scored = {proc_id: corpus.AnnotationGrid(proc_id, {
+                  entity_id: track for entity_id, track in grid.entries.items()
+                  if entity_id in gold_grids[proc_id].entries})
+              for proc_id, grid in pred_grids.items() if proc_id in gold_grids}
+    dropped = sum(len(g.entries) for g in pred_grids.values()) - sum(
+        len(g.entries) for g in scored.values())
+    if dropped:
+        log.warning("left out %d predicted track(s) without gold", dropped)
+    scores = pipeline.score(gold_grids, scored, vocabulary, args.per_procedure)
     text = json.dumps(pipeline.score_dict(scores), ensure_ascii=False, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -219,8 +233,7 @@ def cmd_pipeline(args) -> int:
     config = decoder.DecodeConfig(tau_exp=args.tau_exp, tau_imp=args.tau_imp)
     result = pipeline.run_pipeline(
         procedures, gold_grids, emissions, model, vocabulary, config,
-        relax=args.relax, jobs=args.jobs, seed=args.seed,
-        per_procedure=args.per_procedure)
+        relax=args.relax, seed=args.seed, per_procedure=args.per_procedure)
     pipeline.write_outputs(result, procedures, args.out)
     print(pipeline.render_report(result), end="")
     print(f"wrote predictions and reports to {args.out}")
@@ -310,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tau-imp", type=float, default=0.7)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--relax", action="store_true")
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="accepted and ignored: the pipeline runs in one process")
     sub.add_argument("--per-procedure", action="store_true")
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_pipeline)

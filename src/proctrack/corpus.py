@@ -17,9 +17,10 @@ same record layout, with the predicted tracks in the ``gold`` field.
 from __future__ import annotations
 
 import json
+import re
 import string
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import ValidationError
 
@@ -28,6 +29,7 @@ UNKNOWN = "unknown"
 NONEXISTENT = "nonexistent"
 
 _STRIP_CHARS = string.punctuation + string.whitespace
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 def normalize_location(text: str) -> str:
@@ -38,9 +40,23 @@ def normalize_location(text: str) -> str:
     return " ".join(text.lower().split()).strip(_STRIP_CHARS)
 
 
+def token_text(text: str) -> str:
+    """The lowercased text's [a-z0-9]+ tokens, space-joined and space-padded.
+
+    A token sequence occurs contiguously in another exactly when its token
+    text, minus the outer padding, occurs as a substring of the other's.
+    """
+    return f" {' '.join(_TOKEN_RE.findall(text.lower()))} "
+
+
 @dataclass(frozen=True)
 class LocationValue:
-    """One location slot: a text span, unknown ("?"), or nonexistent ("-")."""
+    """One location slot: a text span, unknown ("?"), or nonexistent ("-").
+
+    Values parsed from strings are interned: `from_token` and
+    `parse_prediction` return one shared instance per distinct string, so
+    each distinct span is validated and normalized once.
+    """
 
     kind: str
     text: str = ""
@@ -58,6 +74,7 @@ class LocationValue:
         return cls(SPAN, text)
 
     @classmethod
+    @cache
     def from_token(cls, token: str) -> "LocationValue":
         """Decode a grid token ("-", "?", or a span kept verbatim)."""
         if token == "-":
@@ -82,21 +99,26 @@ class LocationValue:
             return "unknown"
         return self.text
 
-    def key(self) -> tuple:
-        """Comparison key: spans compare after normalization, "-" and "?"
-        only match themselves."""
+    @cached_property
+    def _key(self) -> tuple:
         if self.kind == SPAN:
             return (SPAN, normalize_location(self.text))
         return (self.kind,)
 
+    def key(self) -> tuple:
+        """Comparison key: spans compare after normalization, "-" and "?"
+        only match themselves."""
+        return self._key
+
     def matches(self, other: "LocationValue") -> bool:
-        return self.key() == other.key()
+        return self._key == other._key
 
 
 NO_LOCATION = LocationValue(NONEXISTENT)
 UNKNOWN_LOCATION = LocationValue(UNKNOWN)
 
 
+@cache
 def parse_prediction(text: str) -> LocationValue:
     """Map a raw location prediction string onto a LocationValue.
 
@@ -228,6 +250,11 @@ class Procedure:
     def num_steps(self) -> int:
         return len(self.steps)
 
+    @cached_property
+    def step_token_texts(self) -> tuple[str, ...]:
+        """`token_text` of each step, computed once per procedure."""
+        return tuple(token_text(step) for step in self.steps)
+
     def entity(self, entity_id: str) -> Entity:
         for ent in self.entities:
             if ent.id == entity_id:
@@ -337,7 +364,7 @@ def _parse_track(payload, procedure: Procedure, entity_id: str,
     for s in states:
         vocabulary.index(s)
     try:
-        locs = tuple(LocationValue.from_token(tok) for tok in locations)
+        locs = tuple(map(LocationValue.from_token, locations))
     except ValidationError as exc:
         raise ValidationError(f"{where}: {entity_id!r}: {exc}") from None
     return Track(states=tuple(states), locations=locs)

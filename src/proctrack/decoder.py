@@ -10,20 +10,17 @@ sequences via its -inf entries.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Entity, Procedure, StateVocabulary, iter_records
+from .corpus import Entity, Procedure, StateVocabulary, iter_records, token_text
 from .errors import NoValidPathError, ValidationError
 from .transitions import TransitionModel
 
 # Stand-in for -inf when decoding with relax=True. Finite so a path always
 # exists, large enough that legal paths win whenever one exists.
 RELAX_SCORE = -1e4
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 @dataclass(frozen=True)
@@ -69,31 +66,19 @@ class EmissionSet:
     tracks: dict[str, EmissionTrack]
 
 
-def _tokens(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
-
-
-def _contains(haystack: list[str], needle: list[str]) -> bool:
-    if not needle or len(needle) > len(haystack):
-        return False
-    return any(
-        haystack[i:i + len(needle)] == needle
-        for i in range(len(haystack) - len(needle) + 1)
-    )
-
-
 def detect_mentions(procedure: Procedure, entity: Entity) -> tuple[bool, ...]:
     """Flag each step whose text contains any alias of the entity.
 
     Matching is case-insensitive on alphanumeric token boundaries, so
     "Water flows." mentions water while "The underwater cave." does not.
+    An alias with no alphanumeric token never matches.
     """
-    alias_tokens = [toks for toks in (_tokens(a) for a in entity.aliases) if toks]
-    step_tokens = [_tokens(step) for step in procedure.steps]
-    return tuple(
-        any(_contains(toks, alias) for alias in alias_tokens)
-        for toks in step_tokens
-    )
+    steps = procedure.step_token_texts
+    flags = [False] * len(steps)
+    for alias in map(token_text, entity.aliases):
+        if alias != "  ":
+            flags = [hit or alias in step for hit, step in zip(flags, steps)]
+    return tuple(flags)
 
 
 def weight_emissions(state_logits, flags, config: DecodeConfig) -> np.ndarray:

@@ -11,9 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 from .consistency import resolve
 from .corpus import AnnotationGrid, StateVocabulary, save_corpus
@@ -87,9 +85,9 @@ def join(procedures, gold_grids, emissions):
 
 def decode_unit(procedure, tracks, model: TransitionModel, config: DecodeConfig,
                 relax: bool = False):
-    """Decode one procedure's (entity_id, track) pairs; used inline and in
-    workers. Returns one (entity_id, states, path score, argmax states,
-    mention flags) row per track; a DecodeError names the entity."""
+    """Decode one procedure's (entity_id, track) pairs. Returns one
+    (entity_id, states, path score, argmax states, mention flags) row per
+    track; a DecodeError names the entity."""
     out = []
     for entity_id, track in tracks:
         flags = detect_mentions(procedure, procedure.entity(entity_id))
@@ -125,20 +123,13 @@ def score(gold_grids, pred_grids, vocabulary: StateVocabulary,
 
 def run_pipeline(procedures, gold_grids, emissions, model: TransitionModel,
                  vocabulary: StateVocabulary, config: DecodeConfig | None = None,
-                 relax: bool = False, jobs: int = 1, seed: int | None = None,
+                 relax: bool = False, seed: int | None = None,
                  per_procedure: bool = False) -> PipelineResult:
     config = config or DecodeConfig()
     units, missing = join(procedures, gold_grids, emissions)
     for proc_id, entity_id in missing:
         log.warning("no emissions for procedure %r entity %r; scoring an empty track",
                     proc_id, entity_id)
-
-    decode = partial(decode_unit, model=model, config=config, relax=relax)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            decoded_units = list(pool.map(decode, *zip(*units)))
-    else:
-        decoded_units = [decode(procedure, tracks) for procedure, tracks in units]
 
     # Every procedure with gold gets a grid, empty when all of its entities
     # lacked emissions, so the evaluator counts it against recall.
@@ -147,7 +138,8 @@ def run_pipeline(procedures, gold_grids, emissions, model: TransitionModel,
     raw_states: dict[tuple[str, str], list[str]] = {}
     flags_map: dict[tuple[str, str], tuple[bool, ...]] = {}
     repair_counts: dict[str, int] = {}
-    for (procedure, tracks), rows in zip(units, decoded_units):
+    for procedure, tracks in units:
+        rows = decode_unit(procedure, tracks, model, config, relax)
         proc_id = procedure.id
         grid = pred_grids[proc_id] = AnnotationGrid(proc_id, {})
         for (_, track), (entity_id, states, _score, raw, flags) in zip(tracks, rows):

@@ -1,10 +1,11 @@
 """Shared test utilities: brute-force decoding oracle, reference
-implementations of the decoder kernel and the tuner, and random model
-builders."""
+implementations of mention detection, the decoder kernel and the tuner, and
+random model builders."""
 
 from __future__ import annotations
 
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,22 @@ def path_score(labels, emissions: np.ndarray, model: TransitionModel) -> float:
     for t in range(1, len(labels)):
         s = s + model.trans_scores[labels[t - 1], labels[t]] + scores[t, labels[t]]
     return float(s)
+
+
+def reference_detect_mentions(procedure, entity) -> tuple[bool, ...]:
+    """Mention flags by token lists: a step mentions the entity when some
+    alias's [a-z0-9]+ tokens occur as a contiguous run of the step's."""
+    def tokens(text):
+        return re.findall(r"[a-z0-9]+", text.lower())
+
+    def contains(haystack, needle):
+        return bool(needle) and any(
+            haystack[i:i + len(needle)] == needle
+            for i in range(len(haystack) - len(needle) + 1))
+
+    aliases = [tokens(alias) for alias in entity.aliases]
+    return tuple(any(contains(tokens(step), alias) for alias in aliases)
+                 for step in procedure.steps)
 
 
 def reference_viterbi(emissions, model: TransitionModel, relax: bool = False):
@@ -220,6 +237,7 @@ __all__ = [
     "brute_force_decode",
     "exhaustive_best_score",
     "path_score",
+    "reference_detect_mentions",
     "reference_viterbi",
     "reference_tune",
     "fuzz_vocabulary",

@@ -57,4 +57,11 @@ def test_traced_run_counts_every_layer_and_writes_the_same_outputs(tmp_path, com
     if command == "tune":
         assert counters["tuner.cells"] == 9
         assert counters["tuner.distinct_path_ratio"] > 0
+    else:
+        # Mention detection is counted only through the module-level name;
+        # a refactor that bypasses it would zero decoder.explicit_step_share.
+        report = json.loads((plain / "report.json").read_text(encoding="utf-8"))
+        decoded = report["coverage"]["decoded_entities"]
+        assert result["spans"]["decoder.detect_mentions"]["calls"] == decoded > 0
+        assert counters["decoder.explicit_step_share"] > 0
     assert _outputs(command, traced) == _outputs(command, plain)

@@ -7,6 +7,8 @@ import pytest
 
 from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, MODEL_PROPARA
 from proctrack.cli import EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from proctrack.corpus import PROPARA, load_corpus, load_predictions
+from proctrack.pipeline import score, score_dict
 from proctrack.transitions import load_model, save_model
 
 
@@ -68,26 +70,29 @@ def test_synth_decode_resolve_evaluate_chain(tmp_path, capsys):
     assert '"sentence_level"' in out
 
 
-def test_pipeline_matches_split_commands(tmp_path):
+def _split_commands_and_pipeline(tmp_path, corpus_path):
+    """Run decode -> resolve -> evaluate --per-procedure and pipeline
+    --per-procedure on the same inputs, check that evaluate prints the score
+    blocks of report.json, and return the predictions file of each."""
+    corpus_args = ["--corpus", str(corpus_path), "--vocab", "propara"]
     decoded = tmp_path / "decoded.jsonl"
     predictions = tmp_path / "predictions.jsonl"
     scores = tmp_path / "scores.json"
     out_dir = tmp_path / "run"
     model_args = ["--emissions", str(EMISSIONS_PROPARA), "--model", str(MODEL_PROPARA)]
-    assert main(["decode", *_corpus_args(), *model_args, "--out", str(decoded)]) == EXIT_OK
+    assert main(["decode", *corpus_args, *model_args, "--out", str(decoded)]) == EXIT_OK
     assert main([
-        "resolve", *_corpus_args(), "--decoded", str(decoded),
+        "resolve", *corpus_args, "--decoded", str(decoded),
         "--emissions", str(EMISSIONS_PROPARA), "--out", str(predictions),
     ]) == EXIT_OK
     assert main([
-        "evaluate", *_corpus_args(), "--predictions", str(predictions),
+        "evaluate", *corpus_args, "--predictions", str(predictions),
         "--per-procedure", "--out", str(scores),
     ]) == EXIT_OK
     assert main([
-        "pipeline", *_corpus_args(), *model_args, "--seed", "0",
+        "pipeline", *corpus_args, *model_args, "--seed", "0",
         "--per-procedure", "--out", str(out_dir),
     ]) == EXIT_OK
-    assert predictions.read_bytes() == (out_dir / "predictions.jsonl").read_bytes()
     report = json.loads((out_dir / "report.json").read_text())
     assert report["config"] == {
         "vocabulary": "propara", "tau_exp": 0.6, "tau_imp": 0.7, "seed": 0,
@@ -97,6 +102,67 @@ def test_pipeline_matches_split_commands(tmp_path):
         assert value == report[key], key
     assert set(evaluated) == {"document_level", "sentence_level",
                               "recipes_location_changes", "per_procedure"}
+    return predictions, out_dir / "predictions.jsonl"
+
+
+def test_pipeline_matches_split_commands(tmp_path):
+    split, piped = _split_commands_and_pipeline(tmp_path, CORPUS_PROPARA)
+    assert split.read_bytes() == piped.read_bytes()
+
+
+def test_split_commands_score_partial_gold_like_pipeline(tmp_path, capsys, caplog):
+    # Gold for one entity is dropped: decode still decodes its emissions,
+    # and evaluate must leave that track out, as the pipeline never decodes it.
+    corpus_path = tmp_path / "partial.jsonl"
+    lines = CORPUS_PROPARA.read_text().splitlines()
+    record = json.loads(lines[3])
+    del record["gold"][next(iter(record["gold"]))]
+    lines[3] = json.dumps(record)
+    corpus_path.write_text("\n".join(lines) + "\n")
+
+    split, _ = _split_commands_and_pipeline(tmp_path, corpus_path)
+    assert "left out 1 predicted track(s) without gold" in caplog.text
+
+    # A prediction for an entity the corpus does not know is still an error.
+    ghost = tmp_path / "ghost.jsonl"
+    _rewrite_line(split, ghost, 4, "gold",
+                  lambda gold: {**gold, "ghost": gold[next(iter(gold))]})
+    capsys.readouterr()
+    code = main(["evaluate", "--corpus", str(corpus_path), "--vocab", "propara",
+                 "--predictions", str(ghost)])
+    assert code == EXIT_VALIDATION
+    assert f"error: {ghost}:4: prediction for unknown entity 'ghost'" in capsys.readouterr().err
+
+
+def test_evaluate_summarises_violations_per_rule(tmp_path, capsys, caplog):
+    # Every location becomes "?", which breaks two rules many times over.
+    predictions = tmp_path / "predictions.jsonl"
+    lines = []
+    for line in CORPUS_PROPARA.read_text().splitlines():
+        record = json.loads(line)
+        for track in record["gold"].values():
+            track["locations"] = ["?"] * len(track["locations"])
+        lines.append(json.dumps(record))
+    predictions.write_text("\n".join(lines) + "\n")
+
+    procedures, gold = load_corpus(CORPUS_PROPARA, PROPARA)
+    pred_grids, violations = load_predictions(predictions, procedures, PROPARA)
+    by_rule = {}
+    for proc_id, violation in violations:
+        by_rule.setdefault(violation.rule, []).append(
+            f"{proc_id}/{violation.entity_id} step {violation.step}")
+    assert len(by_rule) >= 2 and len(violations) > len(by_rule)
+
+    capsys.readouterr()
+    assert main(["evaluate", *_corpus_args(), "--predictions", str(predictions)]) == EXIT_OK
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [
+        f"inconsistent predictions: rule {rule} violated {len(where)} time(s), "
+        f"e.g. {', '.join(where[:3])}"
+        for rule, where in sorted(by_rule.items())
+    ]
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == json.loads(json.dumps(score_dict(score(gold, pred_grids, PROPARA))))
 
 
 def _rewrite_line(source, target, lineno, field, make_value):

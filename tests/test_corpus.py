@@ -7,8 +7,11 @@ from hypothesis import given, strategies as st
 
 from helpers import CORPUS_PROPARA
 from proctrack.corpus import (
+    NO_LOCATION,
     PROPARA,
     RECIPES,
+    SPAN,
+    UNKNOWN_LOCATION,
     Entity,
     LocationValue,
     Procedure,
@@ -87,6 +90,35 @@ def test_parse_prediction_aliases():
 def test_normalization_idempotent(text):
     once = normalize_location(text)
     assert normalize_location(once) == once
+
+
+@given(st.text(max_size=30))
+def test_interned_values_equal_fresh_ones(text):
+    # Parsed values are shared per distinct string; each must equal a freshly
+    # constructed value and carry the same normalized key.
+    if text.strip() and text not in ("-", "?"):
+        token = LocationValue.from_token(text)
+        assert token is LocationValue.from_token(text)
+        assert token == LocationValue(SPAN, text)
+        assert token.key() == LocationValue(SPAN, text).key() == (
+            SPAN, normalize_location(text))
+    prediction = parse_prediction(text)
+    assert prediction is parse_prediction(text)
+    trimmed = text.strip()
+    if trimmed.lower() in ("none", "-"):
+        assert prediction is NO_LOCATION
+    elif trimmed.lower() in ("unknown", "?") or not trimmed:
+        assert prediction is UNKNOWN_LOCATION
+    else:
+        assert prediction == LocationValue(SPAN, trimmed)
+        assert prediction.key() == (SPAN, normalize_location(trimmed))
+
+
+@pytest.mark.parametrize("text", [" ", "\t\n", "   "])
+def test_whitespace_span_raises_on_every_call(text):
+    for _ in range(3):
+        with pytest.raises(ValidationError):
+            LocationValue.from_token(text)
 
 
 def test_entity_aliases_split_on_semicolon():

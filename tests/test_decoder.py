@@ -10,6 +10,7 @@ from helpers import (
     fuzz_vocabulary,
     path_score,
     random_model,
+    reference_detect_mentions,
     reference_viterbi,
 )
 from proctrack.corpus import PROPARA, RECIPES, Entity, LocationValue, Procedure, Track
@@ -83,6 +84,36 @@ def test_mentions_multiword_alias():
         entities=(Entity.from_raw("e0", "power plant"),),
     )
     assert detect_mentions(procedure, procedure.entities[0]) == (True, False)
+
+
+# Words that exercise tokenisation: mixed case, digits, punctuation inside
+# and around words, non-ASCII letters (some lowercase to ASCII ones, such as
+# the Kelvin sign), and fragments with no [a-z0-9] token at all.
+_WORDS = ("water", "Water", "WATER", "under", "underwater", "h2o", "H2O", "2",
+          "o", "salt's", "co-2", "café", "ÉTÉ", "\u212a", "k", "ß", "ss",
+          "!!", "...", "–", "é")
+_SEPARATORS = (" ", "  ", ", ", ".", "-", "'", "\t")
+
+
+def _phrases(max_words):
+    return st.builds(
+        lambda words, seps: "".join(w + s for w, s in zip(words, seps)),
+        st.lists(st.sampled_from(_WORDS), min_size=1, max_size=max_words),
+        st.lists(st.sampled_from(_SEPARATORS), min_size=max_words, max_size=max_words))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.lists(_phrases(8) | st.text(min_size=1, max_size=20), min_size=1, max_size=5),
+    aliases=st.lists(_phrases(3) | st.text(min_size=1, max_size=6), min_size=1, max_size=3),
+)
+def test_mentions_match_token_list_reference(steps, aliases):
+    steps = [s for s in steps if s.strip()] or ["water"]
+    aliases = [a for a in aliases if a.strip()] or ["!!"]
+    procedure = Procedure(id="p0", steps=tuple(steps),
+                          entities=(Entity("e0", ";".join(aliases), tuple(aliases)),))
+    entity = procedure.entities[0]
+    assert detect_mentions(procedure, entity) == reference_detect_mentions(procedure, entity)
 
 
 def test_weighting_worked_example():

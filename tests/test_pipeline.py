@@ -3,6 +3,7 @@
 import json
 
 from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, GOLDEN_DIR, MODEL_PROPARA
+from proctrack.cli import EXIT_OK, main
 from proctrack.corpus import (
     PROPARA,
     RECIPES,
@@ -11,7 +12,7 @@ from proctrack.corpus import (
     load_predictions,
 )
 from proctrack.decoder import DecodeConfig, load_emissions
-from proctrack.pipeline import render_report, report_dict, run_pipeline, write_outputs
+from proctrack.pipeline import report_dict, run_pipeline, write_outputs
 from proctrack.synth import OracleConfig, make_corpus, synth_emissions
 from proctrack.transitions import estimate, load_model
 
@@ -63,13 +64,19 @@ def test_missing_emissions_cost_recall_but_never_crash():
     assert payload["coverage"]["missing_emissions"] == 1
 
 
-def test_parallel_jobs_match_sequential():
-    procedures, grids, model, emissions = _fixture_inputs()
-    one = run_pipeline(procedures, grids, emissions, model, PROPARA, jobs=1)
-    two = run_pipeline(procedures, grids, emissions, model, PROPARA, jobs=2)
-    assert render_report(one) == render_report(two)
-    for proc_id in one.pred_grids:
-        assert one.pred_grids[proc_id].entries == two.pred_grids[proc_id].entries
+def test_jobs_flag_leaves_outputs_unchanged(tmp_path):
+    # `pipeline --jobs` is still parsed and runs in one process at any value.
+    outputs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert main([
+            "pipeline", "--corpus", str(CORPUS_PROPARA), "--vocab", "propara",
+            "--emissions", str(EMISSIONS_PROPARA), "--model", str(MODEL_PROPARA),
+            "--jobs", jobs, "--out", str(out),
+        ]) == EXIT_OK
+        outputs[jobs] = [(out / name).read_bytes()
+                         for name in ("predictions.jsonl", "report.json", "report.txt")]
+    assert outputs["1"] == outputs["2"]
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):
