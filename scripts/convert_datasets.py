@@ -25,7 +25,6 @@ The derived grids satisfy the corpus consistency rules by construction.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from proctrack.corpus import (
     Procedure,
     Track,
     format_stats_table,
+    read_records,
     save_corpus,
     split_stats,
 )
@@ -124,17 +124,13 @@ def convert_file(in_path: Path, out_path: Path) -> tuple[int, object]:
     """Convert one grid file; returns (procedures written, split stats)."""
     procedures = []
     grids = {}
-    with open(in_path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{in_path}:{lineno}: bad JSON: {exc}") from None
-            procedure, grid = convert_record(record)
-            procedures.append(procedure)
-            grids[procedure.id] = grid
+
+    def parse(record):
+        procedure, grid = convert_record(record)
+        procedures.append(procedure)
+        grids[procedure.id] = grid
+
+    read_records(in_path, parse)
     save_corpus(procedures, grids, out_path)
     return len(procedures), split_stats(procedures)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 
 from . import consistency, corpus, decoder, pipeline, qaformat, synth, transitions, tuner
@@ -52,8 +53,9 @@ def _parse_grid(spec: str):
     except ValueError:
         raise ValidationError(
             f"bad grid spec {spec!r}; expected start:stop:step") from None
-    if step <= 0 or stop < start:
-        raise ValidationError(f"bad grid spec {spec!r}")
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        raise ValidationError(
+            f"bad grid spec {spec!r}; values must be finite, with step > 0 and stop >= start")
     count = int(round((stop - start) / step)) + 1
     return tuple(round(start + i * step, 10) for i in range(count))
 
@@ -139,30 +141,22 @@ def cmd_resolve(args) -> int:
     emissions = decoder.load_emissions(args.emissions, procedures, vocabulary)
     known = {p.id for p in procedures}
     grids: dict[str, corpus.AnnotationGrid] = {}
-    for where, record in corpus.iter_records(args.decoded):
-        try:
-            proc_id = record["procedure_id"]
-            entity_id = record["entity_id"]
-            states = record["states"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"{where}: bad decoded record: {exc}") from None
-        if not (isinstance(proc_id, str) and isinstance(entity_id, str)):
-            raise ValidationError(f"{where}: 'procedure_id' and 'entity_id' must be strings")
-        if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
-            raise ValidationError(f"{where}: 'states' must be a list of strings")
+
+    def parse(record):
+        proc_id = corpus.check_str(record.get("procedure_id"), "'procedure_id'")
+        entity_id = corpus.check_str(record.get("entity_id"), "'entity_id'")
+        states = corpus.check_str_list(record.get("states"), "'states'")
         if proc_id not in known:
-            raise ValidationError(f"{where}: unknown procedure {proc_id!r}")
+            raise ValidationError(f"unknown procedure {proc_id!r}")
         eset = emissions.get(proc_id)
         track = eset.tracks.get(entity_id) if eset else None
         if track is None:
-            raise ValidationError(
-                f"{where}: no emissions for ({proc_id!r}, {entity_id!r})")
-        try:
-            resolved = consistency.resolve(states, track.location_preds, vocabulary)
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+            raise ValidationError(f"no emissions for ({proc_id!r}, {entity_id!r})")
+        resolved = consistency.resolve(states, track.location_preds, vocabulary)
         grid = grids.setdefault(proc_id, corpus.AnnotationGrid(proc_id, {}))
         grid.entries[entity_id] = resolved.track()
+
+    corpus.read_records(args.decoded, parse)
     corpus.save_corpus(procedures, grids, args.out)
     total = sum(len(g.entries) for g in grids.values())
     print(f"resolved {total} tracks to {args.out}")

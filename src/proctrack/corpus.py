@@ -343,79 +343,91 @@ def grid_violations(grid: AnnotationGrid, vocabulary: StateVocabulary) -> list[V
     return found
 
 
-def _parse_track(payload, procedure: Procedure, entity_id: str,
-                 vocabulary: StateVocabulary, where: str) -> Track:
+def check_str(value, what: str) -> str:
+    """`value`, which must be a string; `what` names it in the error."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string")
+    return value
+
+
+def check_str_list(value, what: str) -> list[str]:
+    """`value`, which must be a list of strings; `what` names it in the error."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ValidationError(f"{what} must be a list of strings")
+    return value
+
+
+def read_records(path, parse) -> None:
+    """Call `parse(record)` on each non-blank line of a JSON-lines file.
+
+    Every record must be a JSON object. This is the one place that names a
+    bad record: a line that is not UTF-8 JSON, or whose `parse` raises
+    ValidationError, raises ValidationError prefixed with "path:line". A
+    string with an unpaired surrogate is bad JSON too, because no output
+    file could encode it.
+    """
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                text = line.decode("utf-8")
+                if not text.strip():
+                    continue
+                record = json.loads(text)
+                if "\\u" in text:          # only an escape can decode to a surrogate
+                    json.dumps(record, ensure_ascii=False).encode("utf-8")
+            except ValueError as exc:       # a UnicodeError or JSONDecodeError
+                raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from None
+            try:
+                if not isinstance(record, dict):
+                    raise ValidationError("record must be an object")
+                parse(record)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+
+
+def _parse_track(payload, num_steps: int, vocabulary: StateVocabulary) -> Track:
     if not isinstance(payload, dict):
-        raise ValidationError(f"{where}: track for {entity_id!r} must be an object")
-    states = payload.get("states")
-    locations = payload.get("locations")
-    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
-        raise ValidationError(f"{where}: {entity_id!r} 'states' must be a list of strings")
-    if not isinstance(locations, list) or not all(isinstance(s, str) for s in locations):
-        raise ValidationError(f"{where}: {entity_id!r} 'locations' must be a list of strings")
-    if len(states) != procedure.num_steps:
+        raise ValidationError("track must be an object")
+    states = check_str_list(payload.get("states"), "'states'")
+    locations = check_str_list(payload.get("locations"), "'locations'")
+    if len(states) != num_steps:
+        raise ValidationError(f"{len(states)} states for {num_steps} steps")
+    if len(locations) != num_steps + 1:
         raise ValidationError(
-            f"{where}: {entity_id!r} has {len(states)} states for "
-            f"{procedure.num_steps} steps")
-    if len(locations) != procedure.num_steps + 1:
-        raise ValidationError(
-            f"{where}: {entity_id!r} has {len(locations)} locations, "
-            f"expected {procedure.num_steps + 1}")
+            f"{len(locations)} locations, expected {num_steps + 1}")
     for s in states:
         vocabulary.index(s)
-    try:
-        locs = tuple(map(LocationValue.from_token, locations))
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {entity_id!r}: {exc}") from None
-    return Track(states=tuple(states), locations=locs)
+    return Track(states=tuple(states),
+                 locations=tuple(map(LocationValue.from_token, locations)))
 
 
-def _parse_record(record, vocabulary: StateVocabulary, where: str):
-    if not isinstance(record, dict):
-        raise ValidationError(f"{where}: record must be an object")
-    proc_id = record.get("id")
-    if not isinstance(proc_id, str) or not proc_id:
-        raise ValidationError(f"{where}: missing or bad 'id'")
-    steps = record.get("steps")
-    if not isinstance(steps, list) or not steps or not all(isinstance(s, str) for s in steps):
-        raise ValidationError(f"{where}: 'steps' must be a non-empty list of strings")
-    raw_entities = record.get("entities")
-    if not isinstance(raw_entities, list):
-        raise ValidationError(f"{where}: 'entities' must be a list")
-    entities = []
-    for item in raw_entities:
-        if not isinstance(item, dict) or "id" not in item or "raw_name" not in item:
-            raise ValidationError(f"{where}: each entity needs 'id' and 'raw_name'")
-        entities.append(Entity.from_raw(str(item["id"]), str(item["raw_name"])))
-    procedure = Procedure(id=proc_id, steps=tuple(steps), entities=tuple(entities))
-
-    grid = None
-    gold = record.get("gold")
-    if gold is not None:
-        if not isinstance(gold, dict):
-            raise ValidationError(f"{where}: 'gold' must be an object keyed by entity id")
-        known = {e.id for e in procedure.entities}
-        entries = {}
-        for entity_id, payload in gold.items():
-            if entity_id not in known:
-                raise ValidationError(f"{where}: gold refers to unknown entity {entity_id!r}")
-            entries[entity_id] = _parse_track(payload, procedure, entity_id, vocabulary, where)
-        grid = AnnotationGrid(procedure_id=proc_id, entries=entries)
-    return procedure, grid
+def _parse_grid(tracks, procedure: Procedure, vocabulary: StateVocabulary,
+                kind: str) -> AnnotationGrid:
+    """The tracks of a corpus (`kind` "gold") or prediction record."""
+    if not isinstance(tracks, dict):
+        raise ValidationError("'gold' must be an object keyed by entity id")
+    known = {e.id for e in procedure.entities}
+    entries = {}
+    for entity_id, payload in tracks.items():
+        if entity_id not in known:
+            raise ValidationError(f"{kind} for unknown entity {entity_id!r}")
+        try:
+            entries[entity_id] = _parse_track(payload, procedure.num_steps, vocabulary)
+        except ValidationError as exc:
+            raise ValidationError(f"entity {entity_id!r}: {exc}") from None
+    return AnnotationGrid(procedure_id=procedure.id, entries=entries)
 
 
-def iter_records(path):
-    """Yield ("path:line", record) for each non-blank line of a JSON-lines
-    file; a line that is not JSON raises ValidationError naming it."""
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                yield where, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{where}: bad JSON: {exc}") from None
+def _parse_procedure(record: dict) -> Procedure:
+    proc_id = check_str(record.get("id"), "'id'")
+    steps = check_str_list(record.get("steps"), "'steps'")
+    entities = record.get("entities")
+    if not isinstance(entities, list) or not all(isinstance(e, dict) for e in entities):
+        raise ValidationError("'entities' must be a list of objects")
+    return Procedure(id=proc_id, steps=tuple(steps), entities=tuple(
+        Entity.from_raw(check_str(e.get("id"), "entity 'id'"),
+                        check_str(e.get("raw_name"), "entity 'raw_name'"))
+        for e in entities))
 
 
 def load_corpus(path, vocabulary: StateVocabulary):
@@ -424,24 +436,27 @@ def load_corpus(path, vocabulary: StateVocabulary):
     Returns (procedures, grids) where grids maps procedure id to
     AnnotationGrid for every record that carried gold annotations.
     """
-    procedures: list[Procedure] = []
+    procedures: dict[str, Procedure] = {}
     grids: dict[str, AnnotationGrid] = {}
-    seen = set()
-    for where, record in iter_records(path):
-        procedure, grid = _parse_record(record, vocabulary, where)
-        if procedure.id in seen:
-            raise ValidationError(f"{where}: duplicate procedure id {procedure.id!r}")
-        seen.add(procedure.id)
-        procedures.append(procedure)
-        if grid is not None:
+
+    def parse(record):
+        procedure = _parse_procedure(record)
+        if procedure.id in procedures:
+            raise ValidationError(f"duplicate procedure id {procedure.id!r}")
+        procedures[procedure.id] = procedure
+        gold = record.get("gold")
+        if gold is not None:
+            grid = _parse_grid(gold, procedure, vocabulary, "gold")
             bad = grid_violations(grid, vocabulary)
             if bad:
                 first = bad[0]
                 raise ValidationError(
-                    f"{where}: gold grid inconsistent ({len(bad)} violation(s)); "
+                    f"gold grid inconsistent ({len(bad)} violation(s)); "
                     f"first: entity {first.entity_id!r} rule {first.rule}: {first.message}")
             grids[procedure.id] = grid
-    return procedures, grids
+
+    read_records(path, parse)
+    return list(procedures.values()), grids
 
 
 def load_predictions(path, procedures: list[Procedure], vocabulary: StateVocabulary):
@@ -456,30 +471,19 @@ def load_predictions(path, procedures: list[Procedure], vocabulary: StateVocabul
     by_id = {p.id: p for p in procedures}
     grids: dict[str, AnnotationGrid] = {}
     violations: list[tuple[str, Violation]] = []
-    for where, record in iter_records(path):
-        if not isinstance(record, dict) or "id" not in record:
-            raise ValidationError(f"{where}: record must be an object with an 'id'")
-        proc_id = record["id"]
-        if not isinstance(proc_id, str):
-            raise ValidationError(f"{where}: 'id' must be a string")
+
+    def parse(record):
+        proc_id = check_str(record.get("id"), "'id'")
         procedure = by_id.get(proc_id)
         if procedure is None:
-            raise ValidationError(f"{where}: unknown procedure id {proc_id!r}")
+            raise ValidationError(f"unknown procedure id {proc_id!r}")
         if proc_id in grids:
-            raise ValidationError(f"{where}: duplicate procedure id {proc_id!r}")
-        gold = record.get("gold") or {}
-        if not isinstance(gold, dict):
-            raise ValidationError(f"{where}: 'gold' must be an object keyed by entity id")
-        known = {e.id for e in procedure.entities}
-        entries = {}
-        for entity_id, payload in gold.items():
-            if entity_id not in known:
-                raise ValidationError(f"{where}: prediction for unknown entity {entity_id!r}")
-            entries[entity_id] = _parse_track(payload, procedure, entity_id, vocabulary, where)
-        grid = AnnotationGrid(procedure_id=proc_id, entries=entries)
-        for v in grid_violations(grid, vocabulary):
-            violations.append((proc_id, v))
+            raise ValidationError(f"duplicate procedure id {proc_id!r}")
+        grid = _parse_grid(record.get("gold") or {}, procedure, vocabulary, "prediction")
+        violations.extend((proc_id, v) for v in grid_violations(grid, vocabulary))
         grids[proc_id] = grid
+
+    read_records(path, parse)
     return grids, violations
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Entity, Procedure, StateVocabulary, iter_records, token_text
+from .corpus import (Entity, Procedure, StateVocabulary, check_str, check_str_list,
+                     read_records, token_text)
 from .errors import NoValidPathError, ValidationError
 from .transitions import TransitionModel
 
@@ -45,7 +46,10 @@ class EmissionTrack:
     location_preds: tuple[str, ...]
 
     def __post_init__(self):
-        self.state_logits = np.asarray(self.state_logits, dtype=float)
+        try:
+            self.state_logits = np.asarray(self.state_logits, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError("state_logits must be a (T, L) matrix of numbers") from None
         if self.state_logits.ndim != 2:
             raise ValidationError("state_logits must be a (T, L) matrix")
         if not np.isfinite(self.state_logits).all():
@@ -192,44 +196,29 @@ def load_emissions(path, procedures, vocabulary: StateVocabulary):
     """
     by_id = {p.id: p for p in procedures}
     sets: dict[str, EmissionSet] = {}
-    for where, record in iter_records(path):
-        try:
-            proc_id = record["procedure_id"]
-            entity_id = record["entity_id"]
-            logits = record["state_logits"]
-            preds = record["location_preds"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"{where}: missing field: {exc}") from None
-        if not (isinstance(proc_id, str) and isinstance(entity_id, str)):
-            raise ValidationError(f"{where}: 'procedure_id' and 'entity_id' must be strings")
-        if not isinstance(preds, list) or not all(isinstance(p, str) for p in preds):
-            raise ValidationError(f"{where}: 'location_preds' must be a list of strings")
+
+    def parse(record):
+        proc_id = check_str(record.get("procedure_id"), "'procedure_id'")
+        entity_id = check_str(record.get("entity_id"), "'entity_id'")
+        preds = check_str_list(record.get("location_preds"), "'location_preds'")
         procedure = by_id.get(proc_id)
         if procedure is None:
-            raise ValidationError(f"{where}: unknown procedure id {proc_id!r}")
+            raise ValidationError(f"unknown procedure id {proc_id!r}")
         if all(e.id != entity_id for e in procedure.entities):
-            raise ValidationError(
-                f"{where}: unknown entity {entity_id!r} in procedure {proc_id!r}")
-        try:
-            track = EmissionTrack(
-                state_logits=np.array(logits, dtype=float),
-                location_preds=tuple(preds),
-            )
-        except (ValueError, ValidationError) as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+            raise ValidationError(f"unknown entity {entity_id!r} in procedure {proc_id!r}")
+        track = EmissionTrack(record.get("state_logits"), tuple(preds))
         if track.num_steps != procedure.num_steps:
             raise ValidationError(
-                f"{where}: {track.num_steps} logit rows for "
-                f"{procedure.num_steps} steps")
+                f"{track.num_steps} logit rows for {procedure.num_steps} steps")
         if track.state_logits.shape[1] != vocabulary.size:
             raise ValidationError(
-                f"{where}: {track.state_logits.shape[1]} logit columns for "
-                f"{vocabulary.size} labels")
+                f"{track.state_logits.shape[1]} logit columns for {vocabulary.size} labels")
         bucket = sets.setdefault(proc_id, EmissionSet(proc_id, {}))
         if entity_id in bucket.tracks:
-            raise ValidationError(f"{where}: duplicate emissions for "
-                                  f"({proc_id!r}, {entity_id!r})")
+            raise ValidationError(f"duplicate emissions for ({proc_id!r}, {entity_id!r})")
         bucket.tracks[entity_id] = track
+
+    read_records(path, parse)
     return sets
 
 

@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, file handoffs, exit codes."""
 
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, MODEL_PROPARA
 from proctrack.cli import EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from proctrack.corpus import PROPARA, load_corpus, load_predictions
+from proctrack.corpus import PROPARA, VOCABULARIES, load_corpus, load_predictions
 from proctrack.pipeline import score, score_dict
 from proctrack.transitions import load_model, save_model
 
@@ -229,6 +233,136 @@ def test_non_string_ids_exit_two_with_line(tmp_path, capsys, command, field):
     assert f"error: {bad}:2: " in capsys.readouterr().err
 
 
+BAD_LOGITS = {
+    "object-cell": lambda rows: [[{"a": 1}, *row[1:]] for row in rows],
+    "beyond-float-range": lambda rows: [[10 ** 400, *row[1:]] for row in rows],
+}
+
+
+@pytest.mark.parametrize("make_value", BAD_LOGITS.values(), ids=list(BAD_LOGITS))
+def test_non_numeric_state_logits_exit_two_with_line(tmp_path, capsys, make_value):
+    bad = tmp_path / "emissions.jsonl"
+    _rewrite_line(EMISSIONS_PROPARA, bad, 2, "state_logits", make_value)
+    code = main(["decode", *_corpus_args(), "--emissions", str(bad),
+                 "--model", str(MODEL_PROPARA), "--out", str(tmp_path / "out.jsonl")])
+    assert code == EXIT_VALIDATION
+    assert f"error: {bad}:2: " in capsys.readouterr().err
+
+
+def _first_track(record):
+    return record["gold"][next(iter(record["gold"]))]
+
+
+# Each edit breaks a check made by a data class or the vocabulary, below the
+# record parsers, sets a field that used to be coerced with str(), or holds a
+# string that no output file can encode.
+BAD_RECORDS = {
+    "gold-label": ("corpus", lambda r: _first_track(r)["states"].__setitem__(0, "fly")),
+    "prediction-label": ("predictions",
+                         lambda r: _first_track(r)["states"].__setitem__(0, "fly")),
+    "duplicate-entity-ids": ("corpus", lambda r: r["entities"].append(r["entities"][0])),
+    "blank-step": ("corpus", lambda r: r["steps"].__setitem__(0, " \t")),
+    "semicolon-raw-name": ("corpus", lambda r: r["entities"][0].update(raw_name=";")),
+    "empty-entity-id": ("corpus", lambda r: r["entities"][0].update(id="")),
+    "null-raw-name": ("corpus", lambda r: r["entities"][0].update(raw_name=None)),
+    "number-entity-id": ("corpus", lambda r: r["entities"].append({"id": 7, "raw_name": "rock"})),
+    "unpaired-surrogate": ("corpus", lambda r: r["entities"][0].update(raw_name="w\ud800ter")),
+}
+
+
+@pytest.mark.parametrize("source, edit", BAD_RECORDS.values(), ids=list(BAD_RECORDS))
+def test_bad_records_exit_two_with_line(tmp_path, capsys, source, edit):
+    lines = CORPUS_PROPARA.read_text().splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    lines[1] = json.dumps(record)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    if source == "corpus":
+        argv = ["stats", "--corpus", str(bad), "--vocab", "propara"]
+    else:
+        argv = ["evaluate", *_corpus_args(), "--predictions", str(bad)]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"error: {bad}:2: " in capsys.readouterr().err
+
+
+def test_line_that_is_not_utf8_exits_two_with_line(tmp_path, capsys):
+    lines = CORPUS_PROPARA.read_bytes().splitlines()
+    lines[2] = lines[2].replace(b'"steps": ["', b'"steps": ["\xe4', 1)
+    bad = tmp_path / "latin1.jsonl"
+    bad.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["stats", "--corpus", str(bad), "--vocab", "propara"]) == EXIT_VALIDATION
+    assert f"error: {bad}:3: bad JSON: " in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def split_files(tmp_path_factory):
+    """Each JSON-lines input of the CLI, from the fixtures."""
+    base = tmp_path_factory.mktemp("inputs")
+    files = {"corpus": CORPUS_PROPARA, "emissions": EMISSIONS_PROPARA,
+             "decoded": base / "decoded.jsonl", "predictions": base / "predictions.jsonl"}
+    assert main(["decode", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                 "--model", str(MODEL_PROPARA), "--out", str(files["decoded"])]) == EXIT_OK
+    assert main(["resolve", *_corpus_args(), "--decoded", str(files["decoded"]),
+                 "--emissions", str(EMISSIONS_PROPARA),
+                 "--out", str(files["predictions"])]) == EXIT_OK
+    return files
+
+
+def _fuzz_argv(files, out):
+    """The command that reads each input, run on `files`."""
+    corpus_args = ["--corpus", str(files["corpus"]), "--vocab", "propara"]
+    pipeline = ["pipeline", *corpus_args, "--emissions", str(files["emissions"]),
+                "--model", str(MODEL_PROPARA), "--out", str(out)]
+    return {
+        "corpus": pipeline,
+        "emissions": pipeline,
+        "predictions": ["evaluate", *corpus_args, "--predictions", str(files["predictions"])],
+        "decoded": ["resolve", *corpus_args, "--decoded", str(files["decoded"]),
+                    "--emissions", str(files["emissions"]), "--out", str(out) + ".jsonl"],
+    }
+
+
+_first = json.loads(CORPUS_PROPARA.read_text().splitlines()[0])
+# Values the records hold, so that some fuzzed values get past the type checks.
+PLAUSIBLE = sorted({_first["id"], *(e["id"] for e in _first["entities"]),
+                    *(lab for v in VOCABULARIES.values() for lab in v.labels),
+                    "?", "-", "none", "unknown", "", " ", ";"})
+# Any code point, unpaired surrogates included: JSON can escape them all.
+TEXT = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(PLAUSIBLE)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 400, 10 ** 400)
+    | st.floats(allow_nan=False, allow_infinity=False) | TEXT,
+    lambda inner: st.lists(inner, max_size=8) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+@pytest.mark.parametrize("kind", ["corpus", "predictions", "emissions", "decoded"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_field_exits_zero_or_two_with_line(split_files, tmp_path_factory, kind, data):
+    # One field of one record is set to an arbitrary JSON value. The command
+    # that reads the file must succeed or name a line of one of its inputs;
+    # any other exception would be a traceback on the command line.
+    files = dict(split_files)
+    lines = files[kind].read_text().splitlines()
+    lineno = data.draw(st.integers(1, len(lines)), label="line")
+    record = json.loads(lines[lineno - 1])
+    record[data.draw(st.sampled_from(sorted(record)), label="field")] = data.draw(JSON_VALUES)
+    lines[lineno - 1] = json.dumps(record)
+    work = tmp_path_factory.mktemp("fuzz")
+    files[kind] = work / f"{kind}.jsonl"
+    files[kind].write_text("\n".join(lines) + "\n")
+
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(_fuzz_argv(files, work / "out")[kind])
+    assert code in (EXIT_OK, EXIT_VALIDATION), err.getvalue()
+    if code == EXIT_VALIDATION:
+        paths = "|".join(re.escape(str(path)) for path in files.values())
+        assert re.match(rf"error: ({paths}):\d+: ", err.getvalue()), err.getvalue()
+
+
 MODEL_MISMATCHES = {
     "labels": lambda m: m.update(labels=[m["labels"][1], m["labels"][0], *m["labels"][2:]]),
     "name": lambda m: m.update(vocabulary="recipes"),
@@ -264,6 +398,15 @@ def test_tune_prints_best_cell(tmp_path, capsys):
     assert {"tau_exp", "tau_imp", "macro_f1"} == set(payload["best"])
     assert len(payload["table"]) == 9
     assert "best tau_exp=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["nan:1:0.1", "0.1:inf:0.1", "0.1:1:nan"])
+def test_non_finite_grid_exits_two(tmp_path, capsys, spec):
+    code = main(["tune", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                 "--model", str(MODEL_PROPARA), "--grid", spec,
+                 "--out", str(tmp_path / "tune.json")])
+    assert code == EXIT_VALIDATION
+    assert f"error: bad grid spec {spec!r}" in capsys.readouterr().err
 
 
 def test_validation_errors_exit_two(tmp_path, capsys):

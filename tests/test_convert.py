@@ -140,3 +140,22 @@ def test_main_fails_cleanly_on_missing_input(tmp_path, capsys):
         ["--data-dir", str(tmp_path), "--out-dir", str(tmp_path / "out")]
     )
     assert code != 0
+
+
+@pytest.mark.parametrize("bad", [
+    {"para_id": "12", "sentence_texts": ["One step."], "participants": ["water"],
+     "states": [["ocean"]]},
+    ["not", "an", "object"],
+])
+def test_main_names_the_line_of_a_bad_record(tmp_path, capsys, bad):
+    data_dir = tmp_path / "raw"
+    data_dir.mkdir()
+    good = {"para_id": "10", "sentence_texts": ["Rain falls."],
+            "participants": ["water"], "states": [["sky", "ground"]]}
+    grids = data_dir / "grids.v1.train.json"
+    grids.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    code = convert_datasets.main(
+        ["--data-dir", str(data_dir), "--out-dir", str(tmp_path / "out"), "--splits", "train"]
+    )
+    assert code == 2
+    assert f"error: {grids}:2: " in capsys.readouterr().err
