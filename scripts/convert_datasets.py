@@ -34,6 +34,7 @@ from proctrack.corpus import (
     LocationValue,
     Procedure,
     Track,
+    check_str_list,
     format_stats_table,
     read_records,
     save_corpus,
@@ -79,15 +80,18 @@ def _location_row(tokens, para_id: str, participant: str) -> tuple[LocationValue
 
 
 def convert_record(record: dict) -> tuple[Procedure, AnnotationGrid]:
-    para_id = str(record.get("para_id", "")).strip()
+    para_id = record.get("para_id")
+    if isinstance(para_id, bool) or not isinstance(para_id, (str, int)):
+        raise ValidationError("'para_id' must be a string or an integer")
+    para_id = str(para_id).strip()
     if not para_id:
         raise ValidationError("record without a para_id")
-    steps = record.get("sentence_texts")
-    participants = record.get("participants")
+    steps = check_str_list(record.get("sentence_texts"), "'sentence_texts'")
+    participants = check_str_list(record.get("participants"), "'participants'")
     states = record.get("states")
-    if not isinstance(steps, list) or not steps:
+    if not steps:
         raise ValidationError(f"para {para_id!r}: missing sentence_texts")
-    if not isinstance(participants, list) or not participants:
+    if not participants:
         raise ValidationError(f"para {para_id!r}: missing participants")
     if not isinstance(states, list) or len(states) != len(participants):
         raise ValidationError(
@@ -98,7 +102,7 @@ def convert_record(record: dict) -> tuple[Procedure, AnnotationGrid]:
     entries = {}
     seen_ids: set[str] = set()
     for participant, row in zip(participants, states):
-        entity_id = " ".join(str(participant).split())
+        entity_id = " ".join(participant.split())
         # A repeated participant string would collide as an id; qualify it.
         if entity_id in seen_ids:
             k = 2
@@ -110,12 +114,12 @@ def convert_record(record: dict) -> tuple[Procedure, AnnotationGrid]:
             raise ValidationError(
                 f"para {para_id!r}, participant {participant!r}: location row "
                 f"must have {len(steps) + 1} slots")
-        locations = _location_row(row, para_id, str(participant))
-        entities.append(Entity.from_raw(entity_id, str(participant)))
+        locations = _location_row(row, para_id, participant)
+        entities.append(Entity.from_raw(entity_id, participant))
         entries[entity_id] = Track(states=derive_states(locations),
                                    locations=locations)
 
-    procedure = Procedure(id=para_id, steps=tuple(str(s) for s in steps),
+    procedure = Procedure(id=para_id, steps=tuple(steps),
                           entities=tuple(entities))
     return procedure, AnnotationGrid(procedure_id=para_id, entries=entries)
 

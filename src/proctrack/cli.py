@@ -21,6 +21,11 @@ EXIT_VALIDATION = 2
 EXIT_DECODE = 3
 EXIT_IO = 4
 
+# The most values `tune --grid` takes per axis (0.01:10:0.01 is exactly
+# 1,000). A tiny step, or a span that overflows a float, is rejected before
+# any of the grid is built.
+GRID_MAX_VALUES = 1000
+
 log = logging.getLogger(__name__)
 
 
@@ -56,7 +61,11 @@ def _parse_grid(spec: str):
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ValidationError(
             f"bad grid spec {spec!r}; values must be finite, with step > 0 and stop >= start")
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step
+    count = round(span) + 1 if math.isfinite(span) else math.inf
+    if count > GRID_MAX_VALUES:
+        raise ValidationError(
+            f"bad grid spec {spec!r}; it has more than {GRID_MAX_VALUES} values")
     return tuple(round(start + i * step, 10) for i in range(count))
 
 
@@ -93,7 +102,7 @@ def cmd_estimate_transitions(args) -> int:
 def cmd_synth(args) -> int:
     vocabulary, procedures, grids = _load(args)
     bias = {}
-    for key in ("explicit", "implicit", "even", "odd"):
+    for key in ("explicit", "implicit"):
         value = getattr(args, f"bias_{key}")
         if value:
             bias[key] = value
@@ -265,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--location-noise", type=float, default=0.0)
     sub.add_argument("--bias-explicit", type=float, default=0.0)
     sub.add_argument("--bias-implicit", type=float, default=0.0)
-    sub.add_argument("--bias-even", type=float, default=0.0)
-    sub.add_argument("--bias-odd", type=float, default=0.0)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_synth)
@@ -301,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(sub)
     sub.add_argument("--emissions", required=True)
     sub.add_argument("--model", required=True)
-    sub.add_argument("--grid", default=None, help="start:stop:step (default 0.1:1.5:0.1)")
+    sub.add_argument("--grid", default=None,
+                     help=f"start:stop:step, at most {GRID_MAX_VALUES} values "
+                          "(default 0.1:1.5:0.1)")
     sub.add_argument("--relax", action="store_true")
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted and ignored: tune runs in one process")

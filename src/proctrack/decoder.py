@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -201,12 +202,17 @@ def load_emissions(path, procedures, vocabulary: StateVocabulary):
         proc_id = check_str(record.get("procedure_id"), "'procedure_id'")
         entity_id = check_str(record.get("entity_id"), "'entity_id'")
         preds = check_str_list(record.get("location_preds"), "'location_preds'")
+        # Type check before numpy, which would turn "0.5" and true into floats.
+        logits = record.get("state_logits")
+        if not (isinstance(logits, list) and set(map(type, logits)) <= {list}
+                and set(map(type, chain.from_iterable(logits))) <= {int, float}):
+            raise ValidationError("'state_logits' must be a list of rows of numbers")
         procedure = by_id.get(proc_id)
         if procedure is None:
             raise ValidationError(f"unknown procedure id {proc_id!r}")
         if all(e.id != entity_id for e in procedure.entities):
             raise ValidationError(f"unknown entity {entity_id!r} in procedure {proc_id!r}")
-        track = EmissionTrack(record.get("state_logits"), tuple(preds))
+        track = EmissionTrack(logits, tuple(preds))
         if track.num_steps != procedure.num_steps:
             raise ValidationError(
                 f"{track.num_steps} logit rows for {procedure.num_steps} steps")

@@ -115,6 +115,17 @@ def _check_coverage(gold_grids: dict[str, AnnotationGrid],
                     f"prediction length mismatch for ({proc_id!r}, {entity_id!r})")
 
 
+def _event_slots(track: Track, event: str, t: int):
+    """Where an event at step t happens: a create fills slot t, a destroy
+    empties slot t - 1 (an entity is destroyed where it last was), and a
+    move goes from slot t - 1 to slot t."""
+    if event == "create":
+        return track.locations[t].key()
+    if event == "destroy":
+        return track.locations[t - 1].key()
+    return track.locations[t - 1].key(), track.locations[t].key()
+
+
 def _document_tuples(grids: dict[str, AnnotationGrid]):
     inputs, outputs, conversions, moves = set(), set(), set(), set()
     for proc_id, grid in grids.items():
@@ -129,16 +140,11 @@ def _document_tuples(grids: dict[str, AnnotationGrid]):
                 outputs.add((proc_id, entity_id))
             for t, state in enumerate(track.states, start=1):
                 if state == "move":
-                    moves.add((proc_id, entity_id, t,
-                               track.locations[t - 1].key(),
-                               track.locations[t].key()))
-                elif state == "destroy":
-                    # An entity is destroyed where it last was.
-                    destroyed.setdefault(t, []).append(
-                        (entity_id, track.locations[t - 1].key()))
-                elif state == "create":
-                    created.setdefault(t, []).append(
-                        (entity_id, track.locations[t].key()))
+                    moves.add((proc_id, entity_id, t, *_event_slots(track, state, t)))
+                elif state in ("create", "destroy"):
+                    events = created if state == "create" else destroyed
+                    events.setdefault(t, []).append(
+                        (entity_id, _event_slots(track, state, t)))
         for t, gone in destroyed.items():
             for died, died_at in gone:
                 for born, born_at in created.get(t, []):
@@ -177,22 +183,6 @@ def _event_steps(track: Track | None, event: str) -> set[int]:
     return {t for t, s in enumerate(track.states, start=1) if s == event}
 
 
-def _event_args(track: Track | None, event: str, steps: set[int]):
-    """Location arguments at the given steps: where it was created, where it
-    was destroyed, or (from, to) per move step."""
-    if track is None:
-        return None
-    args = []
-    for t in sorted(steps):
-        if event == "create":
-            args.append(track.locations[t].key())
-        elif event == "destroy":
-            args.append(track.locations[t - 1].key())
-        else:
-            args.append((track.locations[t - 1].key(), track.locations[t].key()))
-    return tuple(args)
-
-
 def eval_sentence_level(gold_grids: dict[str, AnnotationGrid],
                         pred_grids: dict[str, AnnotationGrid]) -> SentenceReport:
     """Score (procedure, entity, event) triples on three questions.
@@ -221,9 +211,9 @@ def eval_sentence_level(gold_grids: dict[str, AnnotationGrid],
                 if pred_steps == gold_steps:
                     c2_correct += 1
                 c3_total += 1
-                gold_args = _event_args(gold_track, event, gold_steps)
-                pred_args = _event_args(pred_track, event, gold_steps)
-                if pred_args == gold_args:
+                if pred_track is not None and all(
+                        _event_slots(pred_track, event, t) == _event_slots(gold_track, event, t)
+                        for t in gold_steps):
                     c3_correct += 1
 
     def cat(correct, total):

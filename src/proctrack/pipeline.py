@@ -22,7 +22,7 @@ from .decoder import (
     viterbi,
     weight_emissions,
 )
-from .errors import DecodeError
+from .errors import ToolkitError
 from .evaluator import (
     DocumentReport,
     QuestionScore,
@@ -87,14 +87,14 @@ def decode_unit(procedure, tracks, model: TransitionModel, config: DecodeConfig,
                 relax: bool = False):
     """Decode one procedure's (entity_id, track) pairs. Returns one
     (entity_id, states, path score, argmax states, mention flags) row per
-    track; a DecodeError names the entity."""
+    track; an error while weighting or decoding names the entity."""
     out = []
     for entity_id, track in tracks:
         flags = detect_mentions(procedure, procedure.entity(entity_id))
-        weighted = weight_emissions(track.state_logits, flags, config)
         try:
+            weighted = weight_emissions(track.state_logits, flags, config)
             states, path_score = viterbi(weighted, model, relax=relax)
-        except DecodeError as exc:
+        except ToolkitError as exc:
             raise type(exc)(
                 f"procedure {procedure.id!r}, entity {entity_id!r}: {exc}") from exc
         raw = argmax_states(track.state_logits, model.vocabulary)

@@ -29,7 +29,7 @@ from .corpus import (
 from .decoder import EmissionSet, EmissionTrack, detect_mentions
 from .errors import ValidationError
 
-_BIAS_KEYS = ("explicit", "implicit", "even", "odd")
+_BIAS_KEYS = ("explicit", "implicit")
 
 # Word pools are disjoint from each other and from every template word, so
 # a step mentions an entity if and only if the generator chose to name it.
@@ -62,8 +62,8 @@ class OracleConfig:
     state_noise is the chance a step's observed state label is corrupted to
     a uniformly random wrong label; location_noise likewise degrades a
     location slot to "unknown". corruption_bias adds extra state noise by
-    step kind: keys "explicit"/"implicit" (mention flag of the step) and
-    "even"/"odd" (step parity). All effective rates must stay inside [0, 1).
+    the mention flag of the step: keys "explicit" and "implicit". All
+    effective rates must stay inside [0, 1).
     """
 
     state_noise: float = 0.0
@@ -83,19 +83,14 @@ class OracleConfig:
                     f"unknown corruption_bias key {key!r}; allowed: {_BIAS_KEYS}")
             if extra < 0:
                 raise ValidationError(f"corruption_bias[{key!r}] must be >= 0")
-        worst = (self.state_noise
-                 + max(bias.get("explicit", 0.0), bias.get("implicit", 0.0))
-                 + max(bias.get("even", 0.0), bias.get("odd", 0.0)))
+        worst = self.state_noise + max(bias.get("explicit", 0.0), bias.get("implicit", 0.0))
         if worst >= 1.0:
             raise ValidationError(
                 f"biased state noise can reach {worst}, which is outside [0, 1)")
 
-    def effective_state_noise(self, mentioned: bool, step: int) -> float:
+    def effective_state_noise(self, mentioned: bool) -> float:
         bias = self.corruption_bias or {}
-        rate = self.state_noise
-        rate += bias.get("explicit", 0.0) if mentioned else bias.get("implicit", 0.0)
-        rate += bias.get("even", 0.0) if step % 2 == 0 else bias.get("odd", 0.0)
-        return rate
+        return self.state_noise + bias.get("explicit" if mentioned else "implicit", 0.0)
 
 
 def synth_emissions(procedures, grids, vocabulary: StateVocabulary,
@@ -121,7 +116,7 @@ def synth_emissions(procedures, grids, vocabulary: StateVocabulary,
             flags = detect_mentions(procedure, procedure.entity(entity_id))
             logits = np.empty((procedure.num_steps, size))
             for t, state in enumerate(track.states, start=1):
-                eps = config.effective_state_noise(flags[t - 1], t)
+                eps = config.effective_state_noise(flags[t - 1])
                 observed = vocabulary.index(state)
                 if eps > 0 and rng.random() < eps:
                     wrong = int(rng.integers(size - 1))
@@ -171,6 +166,20 @@ def _sample_event_steps(rng, low, high, weights):
     return set(chosen)
 
 
+# Per vocabulary, how a sampled lifecycle reads: the state label of each
+# phase (before the entity appears, the step it appears, a move step, the
+# step it goes away, after it is gone; every other step is "exist"), the
+# event names of the appear and go-away steps, and the chance that the
+# appearing step names a location.
+_LIFECYCLES = {
+    "propara": {"before": "outside_before", "appear": "create", "move": "move",
+                "gone": "destroy", "after": "outside_after",
+                "appear_event": "create", "gone_event": "destroy", "appear_named": 0.8},
+    "recipes": {"before": "absence", "appear": "exist", "move": "exist",
+                "gone": "absence", "after": "absence",
+                "appear_event": "add", "gone_event": "consume", "appear_named": 0.85},
+}
+
 # Both samplers keep event states away from the sequence edges and never
 # place two moves (or a move and a create/destroy) on adjacent steps. Every
 # gold sequence then starts in exist or a nonexistent state, and a single
@@ -179,59 +188,52 @@ def _sample_event_steps(rng, low, high, weights):
 # gold almost everywhere.
 
 
-def _propara_track(rng, T: int, locations: tuple[str, ...]):
-    """One lifecycle: outside_before prefix + create, or existing from the
-    start; an exist body with isolated moves; optional destroy with an
-    outside_after tail. Returns (states, slots, events) where events maps
-    step -> (kind, location word or None)."""
-    from_start = rng.random() < 0.15
-    events: dict[int, tuple[str, str | None]] = {}
-    if from_start:
-        create = None
-        die = int(rng.integers(2, T)) if rng.random() < 0.55 else None
-        move_high = die - 2 if die is not None else T
-        moves = _sample_event_steps(rng, 2, move_high, (0.40, 0.45, 0.15))
-        if rng.random() < 0.5:
-            word = _pick(rng, locations)
-            start_loc = LocationValue.span(word)
-            events[1] = ("intro", word)
-        else:
-            start_loc = UNKNOWN_LOCATION
-    else:
-        create = int(rng.integers(2, T))
-        die = None
-        if create + 1 <= T - 1 and rng.random() < 0.55:
-            die = int(rng.integers(create + 1, T))
-        move_high = die - 2 if die is not None else T
-        moves = _sample_event_steps(rng, create + 2, move_high, (0.60, 0.40))
-        start_loc = NO_LOCATION
+def _start_word(rng, locations):
+    """Half the time an entity present from step 1 starts at a named place,
+    which an intro clause at step 1 announces; else it starts unknown."""
+    return _pick(rng, locations) if rng.random() < 0.5 else None
 
+
+def _lifecycle(rng, flavor: str, T: int, locations: tuple[str, ...],
+               appear, gone, moves, start):
+    """Spell out a sampled lifecycle step by step: the entity appears at
+    step `appear` (None: it exists from the start, at place `start` or
+    unknown when that is None), goes away at step `gone` (None: never) and
+    moves at the steps in `moves`. Returns (states, slots, events) where
+    events maps step -> (kind, location word or None)."""
+    labels = _LIFECYCLES[flavor]
+    events: dict[int, tuple[str, str | None]] = {}
+    if appear is not None:
+        current = NO_LOCATION
+    elif start is not None:
+        current = LocationValue.span(start)
+        events[1] = ("intro", start)
+    else:
+        current = UNKNOWN_LOCATION
     states: list[str] = []
-    slots: list[LocationValue] = [start_loc]
-    current = start_loc
+    slots: list[LocationValue] = [current]
     for t in range(1, T + 1):
-        if create is not None and t < create:
-            states.append("outside_before")
+        if appear is not None and t < appear:
+            states.append(labels["before"])
             slots.append(NO_LOCATION)
-        elif create is not None and t == create:
-            states.append("create")
-            if rng.random() < 0.8:
+        elif appear is not None and t == appear:
+            states.append(labels["appear"])
+            if rng.random() < labels["appear_named"]:
                 word = _pick(rng, locations)
                 current = LocationValue.span(word)
-                events[t] = ("create", word)
             else:
-                current = UNKNOWN_LOCATION
-                events[t] = ("create", None)
+                word, current = None, UNKNOWN_LOCATION
+            events[t] = (labels["appear_event"], word)
             slots.append(current)
-        elif die is not None and t == die:
-            states.append("destroy")
+        elif gone is not None and t == gone:
+            states.append(labels["gone"])
             slots.append(NO_LOCATION)
-            events[t] = ("destroy", None)
-        elif die is not None and t > die:
-            states.append("outside_after")
+            events[t] = (labels["gone_event"], None)
+        elif gone is not None and t > gone:
+            states.append(labels["after"])
             slots.append(NO_LOCATION)
         elif t in moves:
-            states.append("move")
+            states.append(labels["move"])
             word = _pick(rng, locations,
                          exclude=current.text if current.kind == "span" else None)
             current = LocationValue.span(word)
@@ -243,6 +245,25 @@ def _propara_track(rng, T: int, locations: tuple[str, ...]):
             if t not in events and rng.random() < 0.10:
                 events[t] = ("note", None)
     return states, slots, events
+
+
+def _propara_track(rng, T: int, locations: tuple[str, ...]):
+    """One lifecycle: outside_before prefix + create, or existing from the
+    start; an exist body with isolated moves; optional destroy with an
+    outside_after tail."""
+    if rng.random() < 0.15:
+        create = None
+        die = int(rng.integers(2, T)) if rng.random() < 0.55 else None
+        move_low, weights = 2, (0.40, 0.45, 0.15)
+    else:
+        create = int(rng.integers(2, T))
+        die = None
+        if create + 1 <= T - 1 and rng.random() < 0.55:
+            die = int(rng.integers(create + 1, T))
+        move_low, weights = create + 2, (0.60, 0.40)
+    moves = _sample_event_steps(rng, move_low, die - 2 if die is not None else T, weights)
+    start = _start_word(rng, locations) if create is None else None
+    return _lifecycle(rng, "propara", T, locations, create, die, moves, start)
 
 
 def _recipes_track(rng, T: int, locations: tuple[str, ...]):
@@ -264,56 +285,11 @@ def _recipes_track(rng, T: int, locations: tuple[str, ...]):
     else:
         add = int(rng.integers(3, 6))
         consume = int(rng.integers(add + 2, T))
-
-    events: dict[int, tuple[str, str | None]] = {}
-    if add is None:
-        if rng.random() < 0.5:
-            word = _pick(rng, locations)
-            start_loc = LocationValue.span(word)
-            events[1] = ("intro", word)
-        else:
-            start_loc = UNKNOWN_LOCATION
-    else:
-        start_loc = NO_LOCATION
-    move_low = add + 1 if add is not None else 2
-    move_high = consume - 1 if consume is not None else T
-    moves = _sample_event_steps(rng, move_low, move_high, (0.55, 0.30, 0.15))
-
-    states: list[str] = []
-    slots: list[LocationValue] = [start_loc]
-    current = start_loc
-    for t in range(1, T + 1):
-        if add is not None and t < add:
-            states.append("absence")
-            slots.append(NO_LOCATION)
-        elif consume is not None and t >= consume:
-            states.append("absence")
-            slots.append(NO_LOCATION)
-            if t == consume:
-                events[t] = ("consume", None)
-        elif add is not None and t == add:
-            states.append("exist")
-            if rng.random() < 0.85:
-                word = _pick(rng, locations)
-                current = LocationValue.span(word)
-                events[t] = ("add", word)
-            else:
-                current = UNKNOWN_LOCATION
-                events[t] = ("add", None)
-            slots.append(current)
-        elif t in moves:
-            states.append("exist")
-            word = _pick(rng, locations,
-                         exclude=current.text if current.kind == "span" else None)
-            current = LocationValue.span(word)
-            slots.append(current)
-            events[t] = ("move", word)
-        else:
-            states.append("exist")
-            slots.append(current)
-            if t not in events and rng.random() < 0.10:
-                events[t] = ("note", None)
-    return states, slots, events
+    start = _start_word(rng, locations) if add is None else None
+    moves = _sample_event_steps(rng, add + 1 if add is not None else 2,
+                                consume - 1 if consume is not None else T,
+                                (0.55, 0.30, 0.15))
+    return _lifecycle(rng, "recipes", T, locations, add, consume, moves, start)
 
 
 _CLAUSES = {

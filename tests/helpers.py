@@ -1,6 +1,6 @@
 """Shared test utilities: brute-force decoding oracle, reference
-implementations of mention detection, the decoder kernel and the tuner, and
-random model builders."""
+implementations of mention detection, the decoder kernel, the tuner and the
+lifecycle samplers, and random model builders."""
 
 from __future__ import annotations
 
@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 
 from proctrack.consistency import resolve
-from proctrack.corpus import PROPARA, AnnotationGrid, StateVocabulary
+from proctrack.corpus import (NO_LOCATION, PROPARA, UNKNOWN_LOCATION, AnnotationGrid,
+                              LocationValue, StateVocabulary)
 from proctrack.decoder import RELAX_SCORE, DecodeConfig, detect_mentions, weight_emissions
 from proctrack.errors import NoValidPathError
 from proctrack.evaluator import eval_document_level
 from proctrack.pipeline import join
+from proctrack.synth import _pick, _sample_event_steps
 from proctrack.transitions import TransitionModel
 from proctrack.tuner import TuneResult, default_grid
 
@@ -154,6 +156,147 @@ def reference_tune(procedures, gold_grids, emissions, model: TransitionModel,
     return TuneResult(tau_exp=best[0], tau_imp=best[1], f1=best[2], table=tuple(rows))
 
 
+# The two lifecycle samplers as they were written before `synth` shared one
+# per-step loop between them; the sampler tests compare against these.
+
+
+def reference_propara_track(rng, T: int, locations: tuple[str, ...]):
+    """One lifecycle: outside_before prefix + create, or existing from the
+    start; an exist body with isolated moves; optional destroy with an
+    outside_after tail. Returns (states, slots, events) where events maps
+    step -> (kind, location word or None)."""
+    from_start = rng.random() < 0.15
+    events: dict[int, tuple[str, str | None]] = {}
+    if from_start:
+        create = None
+        die = int(rng.integers(2, T)) if rng.random() < 0.55 else None
+        move_high = die - 2 if die is not None else T
+        moves = _sample_event_steps(rng, 2, move_high, (0.40, 0.45, 0.15))
+        if rng.random() < 0.5:
+            word = _pick(rng, locations)
+            start_loc = LocationValue.span(word)
+            events[1] = ("intro", word)
+        else:
+            start_loc = UNKNOWN_LOCATION
+    else:
+        create = int(rng.integers(2, T))
+        die = None
+        if create + 1 <= T - 1 and rng.random() < 0.55:
+            die = int(rng.integers(create + 1, T))
+        move_high = die - 2 if die is not None else T
+        moves = _sample_event_steps(rng, create + 2, move_high, (0.60, 0.40))
+        start_loc = NO_LOCATION
+
+    states: list[str] = []
+    slots: list[LocationValue] = [start_loc]
+    current = start_loc
+    for t in range(1, T + 1):
+        if create is not None and t < create:
+            states.append("outside_before")
+            slots.append(NO_LOCATION)
+        elif create is not None and t == create:
+            states.append("create")
+            if rng.random() < 0.8:
+                word = _pick(rng, locations)
+                current = LocationValue.span(word)
+                events[t] = ("create", word)
+            else:
+                current = UNKNOWN_LOCATION
+                events[t] = ("create", None)
+            slots.append(current)
+        elif die is not None and t == die:
+            states.append("destroy")
+            slots.append(NO_LOCATION)
+            events[t] = ("destroy", None)
+        elif die is not None and t > die:
+            states.append("outside_after")
+            slots.append(NO_LOCATION)
+        elif t in moves:
+            states.append("move")
+            word = _pick(rng, locations,
+                         exclude=current.text if current.kind == "span" else None)
+            current = LocationValue.span(word)
+            slots.append(current)
+            events[t] = ("move", word)
+        else:
+            states.append("exist")
+            slots.append(current)
+            if t not in events and rng.random() < 0.10:
+                events[t] = ("note", None)
+    return states, slots, events
+
+
+def reference_recipes_track(rng, T: int, locations: tuple[str, ...]):
+    """An ingredient is either present throughout, added mid-procedure,
+    consumed mid-procedure, or both; add/consume keep two steps clear of
+    either edge so each state run spans at least two steps."""
+    # Exist runs are long and absence runs short: adds happen early and
+    # consumes late. The estimated exist-run continuation then clearly
+    # outweighs the absence-run one, keeping decoded event boundaries
+    # pinned to the emissions instead of drifting.
+    roll = rng.random()
+    add = consume = None
+    if roll < 0.55:
+        pass
+    elif roll < 0.67:
+        consume = int(rng.integers(max(3, T - 3), T))
+    elif roll < 0.92:
+        add = int(rng.integers(3, 7))
+    else:
+        add = int(rng.integers(3, 6))
+        consume = int(rng.integers(add + 2, T))
+
+    events: dict[int, tuple[str, str | None]] = {}
+    if add is None:
+        if rng.random() < 0.5:
+            word = _pick(rng, locations)
+            start_loc = LocationValue.span(word)
+            events[1] = ("intro", word)
+        else:
+            start_loc = UNKNOWN_LOCATION
+    else:
+        start_loc = NO_LOCATION
+    move_low = add + 1 if add is not None else 2
+    move_high = consume - 1 if consume is not None else T
+    moves = _sample_event_steps(rng, move_low, move_high, (0.55, 0.30, 0.15))
+
+    states: list[str] = []
+    slots: list[LocationValue] = [start_loc]
+    current = start_loc
+    for t in range(1, T + 1):
+        if add is not None and t < add:
+            states.append("absence")
+            slots.append(NO_LOCATION)
+        elif consume is not None and t >= consume:
+            states.append("absence")
+            slots.append(NO_LOCATION)
+            if t == consume:
+                events[t] = ("consume", None)
+        elif add is not None and t == add:
+            states.append("exist")
+            if rng.random() < 0.85:
+                word = _pick(rng, locations)
+                current = LocationValue.span(word)
+                events[t] = ("add", word)
+            else:
+                current = UNKNOWN_LOCATION
+                events[t] = ("add", None)
+            slots.append(current)
+        elif t in moves:
+            states.append("exist")
+            word = _pick(rng, locations,
+                         exclude=current.text if current.kind == "span" else None)
+            current = LocationValue.span(word)
+            slots.append(current)
+            events[t] = ("move", word)
+        else:
+            states.append("exist")
+            slots.append(current)
+            if t not in events and rng.random() < 0.10:
+                events[t] = ("note", None)
+    return states, slots, events
+
+
 def fuzz_vocabulary(n_labels: int) -> StateVocabulary:
     labels = tuple(f"s{i}" for i in range(n_labels))
     return StateVocabulary(
@@ -240,6 +383,8 @@ __all__ = [
     "reference_detect_mentions",
     "reference_viterbi",
     "reference_tune",
+    "reference_propara_track",
+    "reference_recipes_track",
     "fuzz_vocabulary",
     "random_model",
     "random_walk_states",

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, MODEL_PROPARA
-from proctrack.cli import EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from proctrack.cli import (EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, GRID_MAX_VALUES,
+                           main)
 from proctrack.corpus import PROPARA, VOCABULARIES, load_corpus, load_predictions
 from proctrack.pipeline import score, score_dict
 from proctrack.transitions import load_model, save_model
@@ -236,6 +237,9 @@ def test_non_string_ids_exit_two_with_line(tmp_path, capsys, command, field):
 BAD_LOGITS = {
     "object-cell": lambda rows: [[{"a": 1}, *row[1:]] for row in rows],
     "beyond-float-range": lambda rows: [[10 ** 400, *row[1:]] for row in rows],
+    "string-cell": lambda rows: [["0.5", *rows[0][1:]], *rows[1:]],
+    "bool-cell": lambda rows: [[True, *rows[0][1:]], *rows[1:]],
+    "number-row": lambda rows: [5, *rows[1:]],
 }
 
 
@@ -247,6 +251,20 @@ def test_non_numeric_state_logits_exit_two_with_line(tmp_path, capsys, make_valu
                  "--model", str(MODEL_PROPARA), "--out", str(tmp_path / "out.jsonl")])
     assert code == EXIT_VALIDATION
     assert f"error: {bad}:2: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decode", "pipeline"])
+def test_overflowed_weighted_logit_names_the_entity(tmp_path, capsys, command):
+    bad = tmp_path / "emissions.jsonl"
+    _rewrite_line(EMISSIONS_PROPARA, bad, 2, "state_logits",
+                  lambda rows: [[1e308, *rows[0][1:]], *rows[1:]])
+    record = json.loads(bad.read_text().splitlines()[1])
+    code = main([command, *_corpus_args(), "--emissions", str(bad),
+                 "--model", str(MODEL_PROPARA), "--tau-exp", "2", "--tau-imp", "2",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert (f"error: procedure {record['procedure_id']!r}, entity {record['entity_id']!r}: "
+            "emission scores must all be finite") in capsys.readouterr().err
 
 
 def _first_track(record):
@@ -407,6 +425,16 @@ def test_non_finite_grid_exits_two(tmp_path, capsys, spec):
                  "--out", str(tmp_path / "tune.json")])
     assert code == EXIT_VALIDATION
     assert f"error: bad grid spec {spec!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["-1e308:1e308:1", "0.1:1.5:1e-9"])
+def test_oversized_grid_exits_two(tmp_path, capsys, spec):
+    code = main(["tune", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                 "--model", str(MODEL_PROPARA), f"--grid={spec}",
+                 "--out", str(tmp_path / "tune.json")])
+    assert code == EXIT_VALIDATION
+    assert (f"error: bad grid spec {spec!r}; it has more than {GRID_MAX_VALUES} values"
+            in capsys.readouterr().err)
 
 
 def test_validation_errors_exit_two(tmp_path, capsys):

@@ -102,6 +102,13 @@ def test_convert_record_rejects_bad_rows():
         )
 
 
+def test_convert_record_keeps_an_integer_para_id():
+    procedure, _ = convert_datasets.convert_record(
+        {"para_id": 12, "sentence_texts": ["Rain falls."], "participants": ["water"],
+         "states": [["sky", "ground"]]})
+    assert procedure.id == "12"
+
+
 def test_main_converts_and_reports(tmp_path, capsys):
     records = [
         {
@@ -142,10 +149,25 @@ def test_main_fails_cleanly_on_missing_input(tmp_path, capsys):
     assert code != 0
 
 
+def _with_field(field, value):
+    """A good record with para_id, or the one participant or sentence, set to value."""
+    record = {"para_id": "12", "sentence_texts": ["Rain falls."],
+              "participants": ["water"], "states": [["sky", "ground"]]}
+    record[field] = value if field == "para_id" else [value]
+    return record
+
+
+# Values that used to be coerced with str(): a para_id may still be an integer.
+_NOT_STRINGS = [None, True, ["water"], {"name": "water"}]
+
+
 @pytest.mark.parametrize("bad", [
     {"para_id": "12", "sentence_texts": ["One step."], "participants": ["water"],
      "states": [["ocean"]]},
     ["not", "an", "object"],
+    *(_with_field("para_id", value) for value in _NOT_STRINGS),
+    *(_with_field(field, value) for field in ("participants", "sentence_texts")
+      for value in [*_NOT_STRINGS, 7]),
 ])
 def test_main_names_the_line_of_a_bad_record(tmp_path, capsys, bad):
     data_dir = tmp_path / "raw"
