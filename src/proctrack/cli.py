@@ -8,10 +8,11 @@ error, 3 decode error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import sys
+
+import numpy as np
 
 from . import consistency, corpus, decoder, pipeline, qaformat, synth, transitions, tuner
 from .errors import DecodeError, ValidationError
@@ -35,21 +36,36 @@ def _add_corpus_args(sub):
                      help="state vocabulary")
 
 
+def _add_decode_args(sub, taus=True):
+    sub.add_argument("--emissions", required=True)
+    sub.add_argument("--model", required=True)
+    if taus:
+        sub.add_argument("--tau-exp", type=float, default=0.6)
+        sub.add_argument("--tau-imp", type=float, default=0.7)
+    sub.add_argument("--relax", action="store_true",
+                     help="when no legal path exists, decode with -inf model scores "
+                          "replaced by a finite penalty")
+
+
 def _load(args):
+    """Every input the command takes: (vocabulary, procedures, gold grids,
+    model or None, emissions or None). A scoring command needs gold, and the
+    model must use the vocabulary --vocab names."""
     vocabulary = corpus.get_vocabulary(args.vocab)
     procedures, grids = corpus.load_corpus(args.corpus, vocabulary)
-    return vocabulary, procedures, grids
-
-
-def _load_model(args, vocabulary):
-    """Load --model, which must use the vocabulary --vocab names."""
-    model = transitions.load_model(args.model)
-    if model.vocabulary != vocabulary:
-        def describe(v):
-            return f"{v.name!r} {list(v.labels)} nonexistent {sorted(v.nonexistent_states)}"
-        raise ValidationError(f"{args.model}: model vocabulary {describe(model.vocabulary)} "
-                              f"does not match --vocab {describe(vocabulary)}")
-    return model
+    if args.command in ("evaluate", "tune", "pipeline") and not grids:
+        raise ValidationError(f"{args.command} needs gold grids in the corpus file")
+    model = emissions = None
+    if "model" in args:
+        model = transitions.load_model(args.model)
+        if model.vocabulary != vocabulary:
+            def describe(v):
+                return f"{v.name!r} {list(v.labels)} nonexistent {sorted(v.nonexistent_states)}"
+            raise ValidationError(f"{args.model}: model vocabulary {describe(model.vocabulary)} "
+                                  f"does not match --vocab {describe(vocabulary)}")
+    if "emissions" in args:
+        emissions = decoder.load_emissions(args.emissions, procedures, vocabulary)
+    return vocabulary, procedures, grids, model, emissions
 
 
 def _parse_grid(spec: str):
@@ -70,14 +86,14 @@ def _parse_grid(spec: str):
 
 
 def cmd_stats(args) -> int:
-    _, procedures, _ = _load(args)
+    _, procedures, *_ = _load(args)
     stats = corpus.split_stats(procedures)
     print(corpus.format_stats_table({args.corpus: stats}))
     return EXIT_OK
 
 
 def cmd_format_qa(args) -> int:
-    vocabulary, procedures, grids = _load(args)
+    vocabulary, procedures, grids, *_ = _load(args)
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     count = qaformat.export_instances(procedures, grids, vocabulary,
                                       args.out, kinds=kinds)
@@ -86,7 +102,7 @@ def cmd_format_qa(args) -> int:
 
 
 def cmd_estimate_transitions(args) -> int:
-    vocabulary, procedures, grids = _load(args)
+    vocabulary, procedures, grids, *_ = _load(args)
     model = transitions.estimate(grids.values(), vocabulary)
     transitions.save_model(model, args.out)
     if args.min_count is not None:
@@ -100,7 +116,7 @@ def cmd_estimate_transitions(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    vocabulary, procedures, grids = _load(args)
+    vocabulary, procedures, grids, *_ = _load(args)
     bias = {}
     for key in ("explicit", "implicit"):
         value = getattr(args, f"bias_{key}")
@@ -120,34 +136,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    vocabulary, procedures, _ = _load(args)
-    model = _load_model(args, vocabulary)
-    emissions = decoder.load_emissions(args.emissions, procedures, vocabulary)
+    _, procedures, _, model, emissions = _load(args)
     config = decoder.DecodeConfig(tau_exp=args.tau_exp, tau_imp=args.tau_imp)
-    count = 0
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for procedure in procedures:
-            eset = emissions.get(procedure.id)
-            if eset is None:
-                continue
-            rows = pipeline.decode_unit(procedure, eset.tracks.items(), model, config,
-                                        relax=args.relax)
-            for entity_id, states, score, _, _ in rows:
-                record = {
-                    "procedure_id": procedure.id,
-                    "entity_id": entity_id,
-                    "states": states,
-                    "score": score,
-                }
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-                count += 1
+    count = corpus.write_records(args.out, (
+        {"procedure_id": procedure.id, "entity_id": entity_id, "states": states,
+         "score": score}
+        for procedure in procedures if procedure.id in emissions
+        for entity_id, states, score, _, _ in pipeline.decode_unit(
+            procedure, emissions[procedure.id].tracks.items(), model, config,
+            relax=args.relax)))
     print(f"decoded {count} entities to {args.out}")
     return EXIT_OK
 
 
 def cmd_resolve(args) -> int:
-    vocabulary, procedures, _ = _load(args)
-    emissions = decoder.load_emissions(args.emissions, procedures, vocabulary)
+    vocabulary, procedures, _, _, emissions = _load(args)
     known = {p.id for p in procedures}
     grids: dict[str, corpus.AnnotationGrid] = {}
 
@@ -173,9 +176,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    vocabulary, procedures, gold_grids = _load(args)
-    if not gold_grids:
-        raise ValidationError("evaluation needs gold grids in the corpus file")
+    vocabulary, procedures, gold_grids, *_ = _load(args)
     pred_grids, violations = corpus.load_predictions(
         args.predictions, procedures, vocabulary)
     by_rule: dict[str, list[str]] = {}
@@ -195,44 +196,29 @@ def cmd_evaluate(args) -> int:
     if dropped:
         log.warning("left out %d predicted track(s) without gold", dropped)
     scores = pipeline.score(gold_grids, scored, vocabulary, args.per_procedure)
-    text = json.dumps(pipeline.score_dict(scores), ensure_ascii=False, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    print(text)
+    print(corpus.write_json(args.out, pipeline.score_dict(scores)), end="")
     return EXIT_OK
 
 
 def cmd_tune(args) -> int:
-    vocabulary, procedures, gold_grids = _load(args)
-    model = _load_model(args, vocabulary)
-    emissions = decoder.load_emissions(args.emissions, procedures, vocabulary)
+    vocabulary, procedures, gold_grids, model, emissions = _load(args)
     grid = _parse_grid(args.grid) if args.grid else None
     result = tuner.tune(procedures, gold_grids, emissions, model, vocabulary,
                         grid=grid, relax=args.relax)
-    payload = {
-        "best": {"tau_exp": result.tau_exp, "tau_imp": result.tau_imp,
-                 "macro_f1": result.f1},
-        "table": [
-            {"tau_exp": te, "tau_imp": ti, "macro_f1": f1}
-            for te, ti, f1 in result.table
-        ],
-    }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, ensure_ascii=False, indent=2)
-            handle.write("\n")
+        corpus.write_json(args.out, {
+            "best": {"tau_exp": result.tau_exp, "tau_imp": result.tau_imp,
+                     "macro_f1": result.f1},
+            "table": [{"tau_exp": te, "tau_imp": ti, "macro_f1": f1}
+                      for te, ti, f1 in result.table],
+        })
     print(f"best tau_exp={result.tau_exp} tau_imp={result.tau_imp} "
           f"macro_f1={result.f1:.4f}")
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
-    vocabulary, procedures, gold_grids = _load(args)
-    if not gold_grids:
-        raise ValidationError("the pipeline needs gold grids to score against")
-    model = _load_model(args, vocabulary)
-    emissions = decoder.load_emissions(args.emissions, procedures, vocabulary)
+    vocabulary, procedures, gold_grids, model, emissions = _load(args)
     config = decoder.DecodeConfig(tau_exp=args.tau_exp, tau_imp=args.tau_imp)
     result = pipeline.run_pipeline(
         procedures, gold_grids, emissions, model, vocabulary, config,
@@ -280,12 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("decode", help="Viterbi-decode state sequences")
     _add_corpus_args(sub)
-    sub.add_argument("--emissions", required=True)
-    sub.add_argument("--model", required=True)
-    sub.add_argument("--tau-exp", type=float, default=0.6)
-    sub.add_argument("--tau-imp", type=float, default=0.7)
-    sub.add_argument("--relax", action="store_true",
-                     help="replace -inf model scores so decoding cannot fail")
+    _add_decode_args(sub)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_decode)
 
@@ -306,12 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("tune", help="grid-search the emission weights")
     _add_corpus_args(sub)
-    sub.add_argument("--emissions", required=True)
-    sub.add_argument("--model", required=True)
+    _add_decode_args(sub, taus=False)
     sub.add_argument("--grid", default=None,
                      help=f"start:stop:step, at most {GRID_MAX_VALUES} values "
                           "(default 0.1:1.5:0.1)")
-    sub.add_argument("--relax", action="store_true")
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted and ignored: tune runs in one process")
     sub.add_argument("--out", default=None)
@@ -320,12 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("pipeline",
                               help="decode, resolve, and score in one go")
     _add_corpus_args(sub)
-    sub.add_argument("--emissions", required=True)
-    sub.add_argument("--model", required=True)
-    sub.add_argument("--tau-exp", type=float, default=0.6)
-    sub.add_argument("--tau-imp", type=float, default=0.7)
+    _add_decode_args(sub)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--relax", action="store_true")
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted and ignored: the pipeline runs in one process")
     sub.add_argument("--per-procedure", action="store_true")
@@ -340,7 +315,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Once per command, not per call: an overflowed weighted logit is
+        # reported as a ValidationError, not as a numpy warning.
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

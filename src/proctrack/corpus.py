@@ -310,6 +310,9 @@ def track_violations(track: Track, vocabulary: StateVocabulary,
     def bad(step, rule, msg):
         found.append(Violation(entity_id, step, rule, msg))
 
+    if states and states[0] == "outside_before" and locs[0].kind != NONEXISTENT:
+        bad(1, "start-nonexistent",
+            f"outside_before at step 1 requires slot 0 to be '-', got {locs[0].token()!r}")
     for t, state in enumerate(states, start=1):
         if state in vocabulary.nonexistent_states or state == "destroy":
             if locs[t].kind != NONEXISTENT:
@@ -333,6 +336,10 @@ def track_violations(track: Track, vocabulary: StateVocabulary,
             if locs[t].kind == NONEXISTENT:
                 bad(t, "move-needs-location",
                     f"move at step {t} forbids location '-' at slot {t}")
+            elif locs[t].kind == SPAN and locs[t].matches(locs[t - 1]):
+                bad(t, "move-requires-change",
+                    f"move at step {t} requires slot {t} to differ from slot "
+                    f"{t - 1}, got {locs[t].token()!r} after {locs[t - 1].token()!r}")
     return found
 
 
@@ -383,6 +390,27 @@ def read_records(path, parse) -> None:
                 parse(record)
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from None
+
+
+def write_records(path, records) -> int:
+    """Write each record as one line of UTF-8 JSON; returns how many. This
+    and `write_json` set the format of every output file."""
+    count = 0
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            count += 1
+    return count
+
+
+def write_json(path, payload) -> str:
+    """`payload` as UTF-8 JSON indented by 2 with a final newline, written
+    to `path` unless it is None; returns the text."""
+    text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    return text
 
 
 def _parse_track(payload, num_steps: int, vocabulary: StateVocabulary) -> Track:
@@ -506,10 +534,8 @@ def _record_dict(procedure: Procedure, grid: AnnotationGrid | None) -> dict:
 
 def save_corpus(procedures, grids, path) -> None:
     """Write procedures (and any grids) back out as JSON lines."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for procedure in procedures:
-            record = _record_dict(procedure, grids.get(procedure.id) if grids else None)
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_records(path, (_record_dict(p, grids.get(p.id) if grids else None)
+                         for p in procedures))
 
 
 @dataclass(frozen=True)

@@ -9,19 +9,18 @@ sequences via its -inf entries.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .corpus import (Entity, Procedure, StateVocabulary, check_str, check_str_list,
-                     read_records, token_text)
+                     read_records, token_text, write_records)
 from .errors import NoValidPathError, ValidationError
 from .transitions import TransitionModel
 
-# Stand-in for -inf when decoding with relax=True. Finite so a path always
-# exists, large enough that legal paths win whenever one exists.
+# Stand-in for -inf when decoding with relax=True finds no legal path of the
+# length asked for. Finite, so some path always exists.
 RELAX_SCORE = -1e4
 
 
@@ -115,8 +114,9 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False):
 
     Returns (labels, score). Ties are broken toward the lowest label index
     at every backpointer decision. Raises NoValidPathError when every
-    sequence scores -inf; with relax=True, -inf model entries are replaced
-    by RELAX_SCORE so decoding always succeeds.
+    sequence scores -inf; with relax=True, it then decodes again with the
+    -inf model entries replaced by RELAX_SCORE, so decoding always succeeds
+    and a vetoed path is picked only when no legal one exists.
     """
     U = np.asarray(emissions, dtype=float)
     if U.ndim != 2:
@@ -130,19 +130,25 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False):
     if not np.isfinite(U).all():
         raise ValidationError("emission scores must all be finite")
 
-    start = model.start_scores
-    trans = model.trans_scores
-    if relax:
-        start = np.where(np.isneginf(start), RELAX_SCORE, start)
-        trans = np.where(np.isneginf(trans), RELAX_SCORE, trans)
+    rows = U.tolist()
+    start, trans = model.start_scores, model.trans_scores
+    try:
+        path, score = _max_plus(rows, start, trans)
+    except NoValidPathError:
+        if not relax:
+            raise
+        path, score = _max_plus(rows, np.where(np.isneginf(start), RELAX_SCORE, start),
+                                np.where(np.isneginf(trans), RELAX_SCORE, trans))
+    return [model.vocabulary.labels[i] for i in path], score
 
+
+def _max_plus(rows, start, trans):
+    """Viterbi's (label indices, score) for logit rows; see `viterbi`."""
     # Max-plus over Python floats: the same IEEE additions in the same order
     # as a numpy formulation, without its per-step array overhead at L <= 6.
     # A vetoed edge only adds -inf, which never beats the -inf a state starts
     # from, so skipping it leaves every score and backpointer unchanged.
-    T = U.shape[0]
     veto = -np.inf
-    rows = U.tolist()
     incoming = [[(p, s) for p, s in enumerate(col) if s != veto]
                 for col in trans.T.tolist()]   # incoming[q]: (p, score of p -> q)
     dp = [s + u for s, u in zip(start.tolist(), rows[0])]
@@ -161,17 +167,17 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False):
         dp = step
         backptr.append(best_prev)
 
-    last = max(range(size), key=dp.__getitem__)
+    last = max(range(len(dp)), key=dp.__getitem__)
     score = dp[last]
     if score == veto:
         raise NoValidPathError(
-            f"no state sequence of length {T} has finite score under the model")
+            f"no state sequence of length {len(rows)} has finite score under the model")
 
     path = [last]
     for best_prev in reversed(backptr):
         path.append(best_prev[path[-1]])
     path.reverse()
-    return [model.vocabulary.labels[i] for i in path], score
+    return path, score
 
 
 def decode_entity(procedure: Procedure, entity: Entity, track: EmissionTrack,
@@ -229,13 +235,9 @@ def load_emissions(path, procedures, vocabulary: StateVocabulary):
 
 
 def save_emissions(sets, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for emission_set in sets.values():
-            for entity_id, track in emission_set.tracks.items():
-                record = {
-                    "procedure_id": emission_set.procedure_id,
-                    "entity_id": entity_id,
-                    "state_logits": [[float(x) for x in row] for row in track.state_logits],
-                    "location_preds": list(track.location_preds),
-                }
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_records(path, ({
+        "procedure_id": emission_set.procedure_id,
+        "entity_id": entity_id,
+        "state_logits": [[float(x) for x in row] for row in track.state_logits],
+        "location_preds": list(track.location_preds),
+    } for emission_set in sets.values() for entity_id, track in emission_set.tracks.items()))

@@ -8,13 +8,12 @@ timestamps, so identical inputs produce byte-identical outputs.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from dataclasses import dataclass, field
 
 from .consistency import resolve
-from .corpus import AnnotationGrid, StateVocabulary, save_corpus
+from .corpus import AnnotationGrid, StateVocabulary, save_corpus, write_json
 from .decoder import (
     DecodeConfig,
     argmax_states,
@@ -64,7 +63,8 @@ class PipelineResult(Scores):
 def join(procedures, gold_grids, emissions):
     """Pair every gold entity with its emission track. Returns (units, missing):
     one (procedure, [(entity_id, track), ...]) per procedure with gold, in
-    corpus order, and the (procedure id, entity id) pairs without emissions."""
+    corpus order, and the (procedure id, entity id) pairs without emissions,
+    which one warning counts and samples."""
     units = []
     missing: list[tuple[str, str]] = []
     for procedure in procedures:
@@ -80,6 +80,9 @@ def join(procedures, gold_grids, emissions):
             else:
                 tracks.append((entity_id, track))
         units.append((procedure, tracks))
+    if missing:
+        log.warning("no emissions for %d gold track(s), scored as empty tracks, e.g. %s",
+                    len(missing), ", ".join(f"{p}/{e}" for p, e in missing[:3]))
     return units, missing
 
 
@@ -127,9 +130,6 @@ def run_pipeline(procedures, gold_grids, emissions, model: TransitionModel,
                  per_procedure: bool = False) -> PipelineResult:
     config = config or DecodeConfig()
     units, missing = join(procedures, gold_grids, emissions)
-    for proc_id, entity_id in missing:
-        log.warning("no emissions for procedure %r entity %r; scoring an empty track",
-                    proc_id, entity_id)
 
     # Every procedure with gold gets a grid, empty when all of its entities
     # lacked emissions, so the evaluator counts it against recall.
@@ -292,8 +292,6 @@ def write_outputs(result: PipelineResult, procedures, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     save_corpus(procedures, result.pred_grids,
                 os.path.join(out_dir, "predictions.jsonl"))
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as handle:
-        json.dump(report_dict(result), handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    write_json(os.path.join(out_dir, "report.json"), report_dict(result))
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as handle:
         handle.write(render_report(result))

@@ -9,11 +9,10 @@ full context.
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass
 
-from .corpus import AnnotationGrid, Entity, Procedure, StateVocabulary
+from .corpus import AnnotationGrid, Entity, Procedure, StateVocabulary, write_records
 from .errors import ValidationError
 
 STATE = "state"
@@ -129,17 +128,11 @@ def iter_instances(procedures, grids, vocabulary: StateVocabulary, kinds=KINDS):
 def export_instances(procedures, grids, vocabulary: StateVocabulary,
                      out_path, kinds=KINDS) -> int:
     """Write instances as JSON lines; returns how many were written."""
-    count = 0
-    with open(out_path, "w", encoding="utf-8") as handle:
-        for inst in iter_instances(procedures, grids, vocabulary, kinds):
-            record = {
-                "procedure_id": inst.procedure_id,
-                "entity_id": inst.entity_id,
-                "step": inst.step,
-                "kind": inst.kind,
-                "input": inst.input_text,
-                "target": inst.target_text,
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    return write_records(out_path, ({
+        "procedure_id": inst.procedure_id,
+        "entity_id": inst.entity_id,
+        "step": inst.step,
+        "kind": inst.kind,
+        "input": inst.input_text,
+        "target": inst.target_text,
+    } for inst in iter_instances(procedures, grids, vocabulary, kinds)))

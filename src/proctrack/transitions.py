@@ -8,11 +8,12 @@ smooth over structurally impossible moves, it must refuse them.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import StateVocabulary
+from .corpus import StateVocabulary, write_json
 from .errors import ValidationError
 
 
@@ -37,14 +38,10 @@ class TransitionModel:
             raise ValidationError("scores must not contain NaN")
         if np.isposinf(self.start_scores).any() or np.isposinf(self.trans_scores).any():
             raise ValidationError("scores must be finite or -inf")
-        if self.start_counts is None:
-            self.start_counts = np.zeros(size, dtype=int)
-        else:
-            self.start_counts = np.asarray(self.start_counts, dtype=int)
-        if self.trans_counts is None:
-            self.trans_counts = np.zeros((size, size), dtype=int)
-        else:
-            self.trans_counts = np.asarray(self.trans_counts, dtype=int)
+        self.start_counts = _counts(self.start_counts, (size,), "start_counts")
+        self.trans_counts = _counts(self.trans_counts, (size, size), "trans_counts")
+        if not _is_count(self.sequence_count):
+            raise ValidationError("sequence_count must be a non-negative integer")
 
     def start_score(self, label: str) -> float:
         return float(self.start_scores[self.vocabulary.index(label)])
@@ -53,6 +50,22 @@ class TransitionModel:
         i = self.vocabulary.index(from_label)
         j = self.vocabulary.index(to_label)
         return float(self.trans_scores[i, j])
+
+
+def _is_count(value) -> bool:
+    """A non-negative integer, not a bool, that fits an int64 array."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and 0 <= value < 2 ** 63)
+
+
+def _counts(value, shape, name) -> np.ndarray:
+    """`value` as an int array of `shape`, all zero when it is None."""
+    if value is None:
+        return np.zeros(shape, dtype=int)
+    cells = np.array(value, dtype=object)     # keeps bools and big ints as they are
+    if cells.shape != shape or not all(map(_is_count, cells.flat)):
+        raise ValidationError(f"{name} must be non-negative integers of shape {shape}")
+    return cells.astype(int)
 
 
 def estimate(grids, vocabulary: StateVocabulary) -> TransitionModel:
@@ -131,9 +144,14 @@ def _encode_score(value: float):
     return "-inf" if value == -np.inf else float(value)
 
 
-def _decode_score(value) -> float:
+def _decode_score(value):
+    """A JSON score, or a list or list of lists of them, as floats."""
+    if isinstance(value, list):
+        return [_decode_score(x) for x in value]
     if value == "-inf":
         return -np.inf
+    if type(value) not in (int, float):         # a bool is not a score
+        raise ValidationError(f'a score must be a number or "-inf", got {value!r}')
     return float(value)
 
 
@@ -152,16 +170,16 @@ def save_model(model: TransitionModel, path) -> None:
         "start_counts": [int(x) for x in model.start_counts],
         "transition_counts": [[int(x) for x in row] for row in model.trans_counts],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path) -> TransitionModel:
+    """Read a file written by `save_model`. Any fault in it raises
+    ValidationError naming the file."""
     with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:       # a UnicodeError or JSONDecodeError
             raise ValidationError(f"{path}: bad JSON: {exc}") from None
     try:
         vocabulary = StateVocabulary(
@@ -169,16 +187,13 @@ def load_model(path) -> TransitionModel:
             labels=tuple(payload["labels"]),
             nonexistent_states=frozenset(payload["nonexistent_states"]),
         )
-        model = TransitionModel(
+        return TransitionModel(
             vocabulary=vocabulary,
-            start_scores=np.array([_decode_score(x) for x in payload["start_scores"]]),
-            trans_scores=np.array(
-                [[_decode_score(x) for x in row] for row in payload["transition_scores"]]
-            ),
-            start_counts=np.array(payload["start_counts"], dtype=int),
-            trans_counts=np.array(payload["transition_counts"], dtype=int),
-            sequence_count=int(payload["sequence_count"]),
+            start_scores=_decode_score(payload["start_scores"]),
+            trans_scores=_decode_score(payload["transition_scores"]),
+            start_counts=payload["start_counts"],
+            trans_counts=payload["transition_counts"],
+            sequence_count=payload["sequence_count"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ValidationError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: bad model file: {exc}") from None
-    return model

@@ -127,6 +127,17 @@ def reference_viterbi(emissions, model: TransitionModel, relax: bool = False):
     return [model.vocabulary.labels[i] for i in path], score
 
 
+def strict_else_relaxed_reference(emissions, model: TransitionModel, relax: bool):
+    """`reference_viterbi`, relaxed only when the strict decode has no path:
+    the contract of `viterbi(..., relax=True)`."""
+    try:
+        return reference_viterbi(emissions, model)
+    except NoValidPathError:
+        if not relax:
+            raise
+        return reference_viterbi(emissions, model, relax=True)
+
+
 def reference_tune(procedures, gold_grids, emissions, model: TransitionModel,
                    vocabulary: StateVocabulary, grid=None, relax: bool = False):
     """The tuner as a plain per-cell loop: every cell weights, decodes and
@@ -143,7 +154,7 @@ def reference_tune(procedures, gold_grids, emissions, model: TransitionModel,
             pred_grids: dict[str, AnnotationGrid] = {}
             for proc_id, entity_id, track, flags in units:
                 weighted = weight_emissions(track.state_logits, flags, config)
-                states, _ = reference_viterbi(weighted, model, relax=relax)
+                states, _ = strict_else_relaxed_reference(weighted, model, relax)
                 resolved = resolve(states, track.location_preds, vocabulary)
                 pred_grids.setdefault(proc_id, AnnotationGrid(proc_id, {})).entries[
                     entity_id] = resolved.track()
@@ -382,6 +393,7 @@ __all__ = [
     "path_score",
     "reference_detect_mentions",
     "reference_viterbi",
+    "strict_else_relaxed_reference",
     "reference_tune",
     "reference_propara_track",
     "reference_recipes_track",

@@ -1,9 +1,10 @@
 """The benchmark's tracer still finds and counts every layer it wraps.
 
 perfbench/trace.py replaces module-level names in the package with timing
-and counting wrappers; a refactor that stops calling one of them, or that
-changes what the tuner passes to `viterbi`, breaks the benchmark's
-per-layer numbers without failing any other test.
+and counting wrappers; a refactor that stops calling one of them (or calls
+a loader through a name bound at import), or that changes what the tuner
+passes to `viterbi`, breaks the benchmark's per-layer numbers without
+failing any other test.
 """
 
 import json
@@ -52,6 +53,13 @@ def test_traced_run_counts_every_layer_and_writes_the_same_outputs(tmp_path, com
     result = json.loads(result_path.read_text(encoding="utf-8"))
     assert result["exit"] == 0
     assert result["unpatched"] == []
+    # The CLI reads each input once, through the names the tracer wraps; a
+    # loader that imported them by name would zero these spans.
+    once = ["corpus.load_corpus", "transitions.load_model", "decoder.load_emissions"]
+    if command == "pipeline":
+        once.append("pipeline.write_outputs")
+    calls = {name: result["spans"].get(name, {}).get("calls") for name in once}
+    assert calls == dict.fromkeys(once, 1)
     counters = result["counters"]
     assert counters["decoder.viterbi_calls"] > 0
     if command == "tune":

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -259,9 +260,11 @@ def test_overflowed_weighted_logit_names_the_entity(tmp_path, capsys, command):
     _rewrite_line(EMISSIONS_PROPARA, bad, 2, "state_logits",
                   lambda rows: [[1e308, *rows[0][1:]], *rows[1:]])
     record = json.loads(bad.read_text().splitlines()[1])
-    code = main([command, *_corpus_args(), "--emissions", str(bad),
-                 "--model", str(MODEL_PROPARA), "--tau-exp", "2", "--tau-imp", "2",
-                 "--out", str(tmp_path / "out")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # numpy's overflow warning must not escape
+        code = main([command, *_corpus_args(), "--emissions", str(bad),
+                     "--model", str(MODEL_PROPARA), "--tau-exp", "2", "--tau-imp", "2",
+                     "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
     assert (f"error: procedure {record['procedure_id']!r}, entity {record['entity_id']!r}: "
             "emission scores must all be finite") in capsys.readouterr().err
@@ -285,6 +288,12 @@ BAD_RECORDS = {
     "null-raw-name": ("corpus", lambda r: r["entities"][0].update(raw_name=None)),
     "number-entity-id": ("corpus", lambda r: r["entities"].append({"id": 7, "raw_name": "rock"})),
     "unpaired-surrogate": ("corpus", lambda r: r["entities"][0].update(raw_name="w\ud800ter")),
+    # Gold that breaks a rule resolve holds predictions to: pollen starts
+    # outside_before, and iron moves at step 2 back onto slot 1's place.
+    "gold-start-outside": ("corpus", lambda r: r["gold"]["pollen"]["locations"].__setitem__(
+        0, "soil")),
+    "gold-move-in-place": ("corpus", lambda r: r["gold"]["iron"]["locations"].__setitem__(
+        slice(0, 2), ["Ocean", "Ocean"])),
 }
 
 
@@ -403,6 +412,71 @@ def test_model_vocabulary_mismatch_exits_two(tmp_path, capsys, command, mutate):
     assert not out.exists()
 
 
+# Model files that used to load, or to fail without naming the file.
+BAD_MODELS = {
+    "count-beyond-int64": lambda m: m["transition_counts"][0].__setitem__(0, 10 ** 30),
+    "short-start-scores": lambda m: m.update(start_scores=m["start_scores"][:3]),
+    "duplicate-labels": lambda m: m["labels"].__setitem__(1, m["labels"][0]),
+    "bool-score": lambda m: m["start_scores"].__setitem__(0, True),
+    "short-start-counts": lambda m: m.update(start_counts=m["start_counts"][:3]),
+    "bool-count": lambda m: m["start_counts"].__setitem__(0, True),
+    "negative-count": lambda m: m["transition_counts"][1].__setitem__(1, -1),
+}
+
+
+@pytest.mark.parametrize("mutate", BAD_MODELS.values(), ids=list(BAD_MODELS))
+def test_bad_model_file_exits_two_naming_it(tmp_path, capsys, mutate):
+    payload = json.loads(MODEL_PROPARA.read_text())
+    mutate(payload)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    code = main(["decode", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                 "--model", str(model), "--out", str(tmp_path / "out.jsonl")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {model}: bad model file: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_model_exits_zero_or_two_naming_the_file(tmp_path_factory, data):
+    # One field of the model file, or one entry of a list field, is set to an
+    # arbitrary JSON value. decode must succeed or name the model file.
+    payload = json.loads(MODEL_PROPARA.read_text())
+    field = data.draw(st.sampled_from(sorted(payload)), label="field")
+    value = data.draw(JSON_VALUES, label="value")
+    if isinstance(payload[field], list) and data.draw(st.booleans(), label="one entry"):
+        payload[field][data.draw(st.integers(0, len(payload[field]) - 1), label="entry")] = value
+    else:
+        payload[field] = value
+    work = tmp_path_factory.mktemp("model")
+    model = work / "model.json"
+    model.write_text(json.dumps(payload))
+
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["decode", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                     "--model", str(model), "--out", str(work / "out.jsonl")])
+    assert code in (EXIT_OK, EXIT_VALIDATION), err.getvalue()
+    if code == EXIT_VALIDATION:
+        assert err.getvalue().startswith(f"error: {model}: "), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "tune"])
+def test_missing_emissions_log_one_warning(tmp_path, caplog, command):
+    emissions = tmp_path / "emissions.jsonl"
+    lines = EMISSIONS_PROPARA.read_text().splitlines()
+    emissions.write_text("\n".join(lines[:-2]) + "\n")
+    missing = [f"{r['procedure_id']}/{r['entity_id']}" for r in map(json.loads, lines[-2:])]
+    out = tmp_path / ("run" if command == "pipeline" else "tune.json")
+    argv = [command, *_corpus_args(), "--emissions", str(emissions),
+            "--model", str(MODEL_PROPARA), "--out", str(out)]
+    if command == "tune":
+        argv += ["--grid", "0.5:0.6:0.1"]
+    assert main(argv) == EXIT_OK
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        f"no emissions for 2 gold track(s), scored as empty tracks, e.g. {', '.join(missing)}"]
+
+
 def test_tune_prints_best_cell(tmp_path, capsys):
     out = tmp_path / "tune.json"
     code = main([
@@ -451,6 +525,20 @@ def test_missing_file_exits_four(tmp_path, capsys):
     ])
     assert code == EXIT_IO
     assert "i/o error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "tune", "pipeline"])
+def test_scoring_without_gold_exits_two(tmp_path, capsys, command):
+    corpus = tmp_path / "nogold.jsonl"
+    records = [json.loads(line) for line in CORPUS_PROPARA.read_text().splitlines()]
+    corpus.write_text("".join(json.dumps({k: v for k, v in r.items() if k != "gold"}) + "\n"
+                              for r in records))
+    inputs = (["--predictions", str(CORPUS_PROPARA)] if command == "evaluate" else
+              ["--emissions", str(EMISSIONS_PROPARA), "--model", str(MODEL_PROPARA),
+               "--out", str(tmp_path / "out")])
+    code = main([command, "--corpus", str(corpus), "--vocab", "propara", *inputs])
+    assert code == EXIT_VALIDATION
+    assert f"error: {command} needs gold grids in the corpus file" in capsys.readouterr().err
 
 
 def test_undecodable_model_exits_three(tmp_path, capsys):

@@ -25,7 +25,9 @@ from proctrack.corpus import (
     parse_prediction,
     save_corpus,
     split_stats,
+    track_violations,
 )
+from proctrack.consistency import resolve
 from proctrack.synth import make_corpus
 
 
@@ -142,6 +144,33 @@ def test_fixture_corpus_is_consistent():
     assert sum(len(p.entities) for p in procedures) == 25
     for procedure in procedures:
         assert not grid_violations(grids[procedure.id], PROPARA)
+
+
+# One track per rule of `track_violations` that breaks that rule alone.
+RULE_BREAKERS = {
+    "start-nonexistent": (["outside_before"], ["soil", "-"]),
+    "nonexistent-state-location": (["destroy"], ["soil", "soil"]),
+    "create-clears-before": (["create"], ["soil", "soil"]),
+    "create-yields-location": (["create"], ["-", "-"]),
+    "exist-keeps-location": (["exist"], ["soil", "rock"]),
+    "move-needs-location": (["move"], ["soil", "-"]),
+    "move-requires-change": (["move"], ["soil", " Soil."]),
+}
+
+
+@pytest.mark.parametrize("rule", RULE_BREAKERS)
+def test_each_gold_rule_fires_alone(rule):
+    states, locations = RULE_BREAKERS[rule]
+    track = Track(tuple(states), tuple(map(LocationValue.from_token, locations)))
+    assert [v.rule for v in track_violations(track, PROPARA)] == [rule]
+
+
+def test_unknown_to_unknown_move_is_legal():
+    # resolve degrades a move that names no new place to "?", so a move from
+    # "?" to "?" is one of its outputs and must stay legal gold.
+    resolved = resolve(["exist", "move"], ["?", "?", "none"], PROPARA)
+    assert [loc.token() for loc in resolved.locations] == ["?", "?", "?"]
+    assert track_violations(resolved.track(), PROPARA) == []
 
 
 def test_round_trip_preserves_corpus(tmp_path):

@@ -12,6 +12,7 @@ from helpers import (
     random_model,
     reference_detect_mentions,
     reference_viterbi,
+    strict_else_relaxed_reference,
 )
 from proctrack.corpus import PROPARA, RECIPES, Entity, LocationValue, Procedure, Track
 from proctrack.corpus import AnnotationGrid
@@ -31,7 +32,7 @@ from proctrack.decoder import (
 )
 from proctrack.errors import NoValidPathError, ValidationError
 from proctrack.synth import make_corpus
-from proctrack.transitions import TransitionModel, estimate
+from proctrack.transitions import TransitionModel, estimate, validate_path_exists
 
 
 def _single_track_model():
@@ -258,14 +259,16 @@ KERNEL_MODELS = _kernel_models()
 )
 def test_viterbi_matches_numpy_reference(which, n_steps, scale, relax, data):
     """Labels and score equal the numpy loop's, ties and large logits
-    included; a model with no finite start raises in both unless relaxed."""
+    included; a model with no finite start raises in both unless relaxed,
+    and a relaxed decode is the relaxed loop's only when the strict one has
+    no path."""
     model = KERNEL_MODELS[which]
     size = model.vocabulary.size
     logits = data.draw(st.lists(st.integers(-2, 2), min_size=n_steps * size,
                                 max_size=n_steps * size))
     emissions = np.array(logits, dtype=float).reshape(n_steps, size) * scale
     try:
-        expected = reference_viterbi(emissions, model, relax=relax)
+        expected = strict_else_relaxed_reference(emissions, model, relax)
     except NoValidPathError:
         with pytest.raises(NoValidPathError):
             viterbi(emissions, model, relax=relax)
@@ -274,6 +277,35 @@ def test_viterbi_matches_numpy_reference(which, n_steps, scale, relax, data):
     assert states == expected[0]
     assert score == expected[1]
     assert type(score) is float
+
+
+# The kernel models that veto some transition yet have a legal path of the
+# longest length drawn below.
+VETOING_MODELS = [model for model in KERNEL_MODELS
+                  if np.isneginf(model.trans_scores).any()
+                  and validate_path_exists(model, 13)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(range(len(VETOING_MODELS))),
+    st.integers(min_value=9, max_value=13),
+    st.sampled_from([1.0, 1e3, 5e3, 1e4, 1e5, 1e6]),
+    st.data(),
+)
+def test_relax_changes_nothing_while_a_legal_path_exists(which, n_steps, scale, data):
+    """A relaxed decode never takes a vetoed edge when the strict decode
+    finds a path, however large the logits."""
+    model = VETOING_MODELS[which]
+    size = model.vocabulary.size
+    logits = data.draw(st.lists(st.floats(-1, 1), min_size=n_steps * size,
+                                max_size=n_steps * size))
+    emissions = np.array(logits).reshape(n_steps, size) * scale
+    try:
+        strict = viterbi(emissions, model)
+    except NoValidPathError:
+        return
+    assert viterbi(emissions, model, relax=True) == strict
 
 
 @settings(max_examples=40, deadline=None)
