@@ -17,8 +17,10 @@ same record layout, with the predicted tracks in the ``gold`` field.
 from __future__ import annotations
 
 import json
+import os
 import re
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -382,7 +384,7 @@ def read_records(path, parse) -> None:
                 record = json.loads(text)
                 if "\\u" in text:          # only an escape can decode to a surrogate
                     json.dumps(record, ensure_ascii=False).encode("utf-8")
-            except ValueError as exc:       # a UnicodeError or JSONDecodeError
+            except (ValueError, RecursionError) as exc:   # or nested too deep to parse
                 raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from None
             try:
                 if not isinstance(record, dict):
@@ -392,11 +394,32 @@ def read_records(path, parse) -> None:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from None
 
 
+@contextmanager
+def _replacing(path):
+    """A text handle on a file beside `path` that takes its place only when
+    the block ends without an exception. A failed command leaves no partial
+    output, and an existing file keeps its bytes. A path that exists but is
+    not a regular file, such as /dev/stdout, is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+        return
+    partial = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+
+
 def write_records(path, records) -> int:
     """Write each record as one line of UTF-8 JSON; returns how many. This
-    and `write_json` set the format of every output file."""
+    and `write_json` set the format of every output file, and write it
+    whole or not at all."""
     count = 0
-    with open(path, "w", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         for record in records:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
             count += 1
@@ -408,7 +431,7 @@ def write_json(path, payload) -> str:
     to `path` unless it is None; returns the text."""
     text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     if path is not None:
-        with open(path, "w", encoding="utf-8") as handle:
+        with _replacing(path) as handle:
             handle.write(text)
     return text
 

@@ -179,7 +179,7 @@ def load_model(path) -> TransitionModel:
     with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except ValueError as exc:       # a UnicodeError or JSONDecodeError
+        except (ValueError, RecursionError) as exc:   # or nested too deep to parse
             raise ValidationError(f"{path}: bad JSON: {exc}") from None
     try:
         vocabulary = StateVocabulary(
@@ -195,5 +195,6 @@ def load_model(path) -> TransitionModel:
             trans_counts=payload["transition_counts"],
             sequence_count=payload["sequence_count"],
         )
-    except (ValidationError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (ValidationError, KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise ValidationError(f"{path}: bad model file: {exc}") from None

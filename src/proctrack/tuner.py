@@ -6,21 +6,49 @@ Ties prefer the smaller tau_exp, then the smaller tau_imp, which falls out
 of scanning the grid in sorted order with a strict improvement test.
 
 Work is done once per distinct result, not once per cell. An entity's
-weighted emissions depend only on the taus its mention flags use, so it is
-decoded once per distinct pair of those; each distinct path is resolved
-once; and each procedure is scored once per distinct combination of its
-entities' paths. Every document tuple starts with its procedure id, so the
-per-procedure counts sum to the counts of the whole split, and the macro F1
-built from them is bit-identical to scoring the split in one call.
+weighted emissions depend only on the taus its mention flags use, so its
+decodes span a 2-D grid when it has both mentioned and unmentioned steps,
+else a 1-D one. Each distinct path is resolved once, and each procedure is
+scored once per distinct combination of its entities' paths. Every document
+tuple starts with its procedure id, so the per-procedure counts sum to the
+counts of the whole split, and the macro F1 built from them is
+bit-identical to scoring the split in one call.
+
+An entity is not decoded at every cell of its grid. A path's exact score is
+affine in (tau_exp, tau_imp), so the region where one path beats every
+other is convex, and a recursive search over rectangles of the sorted grid
+values decodes mostly at region boundaries. It decodes a rectangle's four
+corners with `viterbi(..., runner_up=True)`. If one path wins at all four
+and each corner's float score beats the runner-up by more than 4*B, every
+cell of the rectangle gets that path; otherwise the rectangle is split in
+two along its longer side, and one of 2x2 cells or fewer is decoded cell by
+cell. B bounds the rounding error of any path's float score anywhere in
+the rectangle:
+
+    B = gamma(2T+2) * (max|start| + (T-1) * max|trans| + sum_t max_l |tau_t * u_tl|)
+
+with gamma(n) = n*u / (1 - n*u), u = 2**-53, the finite model scores (and
+|RELAX_SCORE| when relaxed) and the rectangle's largest taus. A margin over
+4*B at the corners leaves an exact margin over 2*B everywhere in the
+rectangle, so the winner's float score still beats every other path's at
+each cell. Float addition is monotone, so Viterbi returns the argmax of the
+fixed-order float path sums: the filled path is the one a decode of that
+cell returns. Ties and near-ties never fill, and a cell on them is decoded.
+When a decode fails, the entity's cells are decoded in grid order instead,
+so the error names the first failing cell as a per-cell loop would.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .consistency import resolve
 from .corpus import AnnotationGrid, StateVocabulary
-from .decoder import DecodeConfig, detect_mentions, viterbi, weight_emissions
+from .decoder import RELAX_SCORE, DecodeConfig, detect_mentions, viterbi, weight_emissions
 from .errors import ToolkitError, ValidationError
 from .evaluator import document_report, eval_document_level
 from .pipeline import join
@@ -44,28 +72,84 @@ def _counts(report):
     return [(q.n_pred, q.n_gold, q.n_correct) for q in report.questions().values()]
 
 
-def _entity_paths(procedure, entity_id, track, cells, model, vocabulary, relax):
-    """Resolved tracks of one entity: (distinct tracks, index into them per cell)."""
+def _rounding_bound(steps: int, mass: float) -> float:
+    """B for a path of `steps` steps whose terms have absolute values summing
+    to at most `mass`; see the module docstring. Each of the `steps`
+    products may also underflow by half a subnormal. Past 1e300 a partial
+    sum could overflow, and the bound is infinite."""
+    if not mass < 1e300:
+        return math.inf
+    n = (2 * steps + 2) * 2.0 ** -53
+    return n / (1 - n) * mass + steps * math.ulp(0.0)
+
+
+def _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax):
+    """Resolved tracks of one entity: (distinct tracks, index into them per
+    cell of the grid over the sorted `values`)."""
     flags = detect_mentions(procedure, procedure.entity(entity_id))
-    explicit, implicit = any(flags), not all(flags)
-    resolved, path_index, by_weights, column = [], {}, {}, []
-    for tau_exp, tau_imp in cells:
-        weights = (tau_exp if explicit else None, tau_imp if implicit else None)
-        if weights not in by_weights:
+    # Cell (i, j) of the tune grid is cell (exp_of[i], imp_of[j]) of this
+    # entity's grid, where an axis whose tau no step uses collapses to the
+    # first value.
+    exp_of = range(len(values)) if any(flags) else [0] * len(values)
+    imp_of = range(len(values)) if not all(flags) else [0] * len(values)
+    row_max = np.abs(track.state_logits).max(axis=1)
+    mentioned = np.asarray(flags, dtype=bool)
+    mass_exp, mass_imp = float(row_max[mentioned].sum()), float(row_max[~mentioned].sum())
+    # The largest |score| a decode may add at a start or a transition.
+    start_max, trans_max = (
+        max(np.abs(scores[np.isfinite(scores)]).max(initial=0.0),
+            abs(RELAX_SCORE) if relax else 0.0)
+        for scores in (model.start_scores, model.trans_scores))
+    fixed = start_max + (len(flags) - 1) * trans_max
+
+    resolved, path_index = [], {}
+    decoded = {}            # (i, j) -> (path index, score minus runner-up)
+    at = {}                 # (i, j) -> path index, decoded or filled
+
+    def decode(i, j):
+        if (i, j) not in decoded:
+            weighted = weight_emissions(track.state_logits, flags,
+                                        DecodeConfig(values[i], values[j]))
+            states, score, runner_up = viterbi(weighted, model, relax=relax, runner_up=True)
+            states = tuple(states)
+            if states not in path_index:
+                resolved.append(resolve(states, track.location_preds, vocabulary).track())
+                path_index[states] = len(resolved) - 1
+            decoded[i, j] = path_index[states], score - runner_up
+            at[i, j] = path_index[states]
+        return decoded[i, j]
+
+    def search(i0, i1, j0, j1):
+        corners = [decode(i, j) for i in (i0, i1) for j in (j0, j1)]
+        if i1 - i0 <= 1 and j1 - j0 <= 1:
+            return                                  # every cell is a corner
+        bound = _rounding_bound(len(flags), fixed + values[i1] * mass_exp
+                                + values[j1] * mass_imp)
+        path = corners[0][0]
+        if all(p == path and margin > 4 * bound for p, margin in corners):
+            for cell in itertools.product(range(i0, i1 + 1), range(j0, j1 + 1)):
+                at[cell] = path
+        elif i1 - i0 >= j1 - j0:
+            mid = (i0 + i1) // 2
+            search(i0, mid, j0, j1)
+            search(mid, i1, j0, j1)
+        else:
+            mid = (j0 + j1) // 2
+            search(i0, i1, j0, mid)
+            search(i0, i1, mid, j1)
+
+    try:
+        search(0, exp_of[-1], 0, imp_of[-1])
+    except ToolkitError:
+        # Name the first failing cell in grid order, as a per-cell loop would.
+        for (i, tau_exp), (j, tau_imp) in itertools.product(enumerate(values), repeat=2):
             try:
-                weighted = weight_emissions(track.state_logits, flags,
-                                            DecodeConfig(tau_exp, tau_imp))
-                states, _ = viterbi(weighted, model, relax=relax)
-                states = tuple(states)
-                if states not in path_index:
-                    path_index[states] = len(resolved)
-                    resolved.append(resolve(states, track.location_preds, vocabulary).track())
+                decode(exp_of[i], imp_of[j])
             except ToolkitError as exc:
                 raise type(exc)(f"grid cell ({tau_exp}, {tau_imp}): procedure "
                                 f"{procedure.id!r}, entity {entity_id!r}: {exc}") from exc
-            by_weights[weights] = path_index[states]
-        column.append(by_weights[weights])
-    return resolved, column
+        raise
+    return resolved, [at[i, j] for i in exp_of for j in imp_of]
 
 
 def tune(procedures, gold_grids, emissions, model: TransitionModel,
@@ -94,7 +178,7 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
         pid = procedure.id
         entity_ids = [entity_id for entity_id, _ in tracks]
         paths, columns = zip(*(
-            _entity_paths(procedure, entity_id, track, cells, model, vocabulary, relax)
+            _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
             for entity_id, track in tracks))
         scored = {}
         for c, combination in enumerate(zip(*columns)):

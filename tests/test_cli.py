@@ -390,6 +390,50 @@ def test_fuzzed_field_exits_zero_or_two_with_line(split_files, tmp_path_factory,
         assert re.match(rf"error: ({paths}):\d+: ", err.getvalue()), err.getvalue()
 
 
+def _nested_slot(record, target, pick):
+    """(list, index) of one nested value of a record: a step string, a logit
+    row or cell, or a state or location of one track. `pick(n)` draws an
+    index below n."""
+    if target == "step":
+        values = record["steps"]
+    elif target == "logit":
+        values = record["state_logits"]
+        if pick(2):
+            values = values[pick(len(values))]          # a cell, not a row
+    else:
+        tracks = record["gold"]
+        values = tracks[sorted(tracks)[pick(len(tracks))]][("states", "locations")[pick(2)]]
+    return values, pick(len(values))
+
+
+@pytest.mark.parametrize("kind, target", [("corpus", "step"), ("emissions", "logit"),
+                                          ("corpus", "track"), ("predictions", "track")])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_nested_field_exits_zero_or_two_with_line(split_files, tmp_path_factory,
+                                                         kind, target, data):
+    # As above, one level down: one entry of a list inside one record.
+    files = dict(split_files)
+    lines = files[kind].read_text().splitlines()
+    lineno = data.draw(st.integers(1, len(lines)), label="line")
+    record = json.loads(lines[lineno - 1])
+    values, index = _nested_slot(record, target,
+                                 lambda n: data.draw(st.integers(0, n - 1)))
+    values[index] = data.draw(JSON_VALUES, label="value")
+    lines[lineno - 1] = json.dumps(record)
+    work = tmp_path_factory.mktemp("fuzz")
+    files[kind] = work / f"{kind}.jsonl"
+    files[kind].write_text("\n".join(lines) + "\n")
+
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(_fuzz_argv(files, work / "out")[kind])
+    assert code in (EXIT_OK, EXIT_VALIDATION), err.getvalue()
+    if code == EXIT_VALIDATION:
+        paths = "|".join(re.escape(str(path)) for path in files.values())
+        assert re.match(rf"error: ({paths}):\d+: ", err.getvalue()), err.getvalue()
+
+
 MODEL_MISMATCHES = {
     "labels": lambda m: m.update(labels=[m["labels"][1], m["labels"][0], *m["labels"][2:]]),
     "name": lambda m: m.update(vocabulary="recipes"),
@@ -459,6 +503,61 @@ def test_fuzzed_model_exits_zero_or_two_naming_the_file(tmp_path_factory, data):
     assert code in (EXIT_OK, EXIT_VALIDATION), err.getvalue()
     if code == EXIT_VALIDATION:
         assert err.getvalue().startswith(f"error: {model}: "), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_model_score_entry_exits_zero_or_two_naming_the_file(tmp_path_factory, data):
+    # One start score, or one cell of the transition scores, is set to an
+    # arbitrary JSON value.
+    payload = json.loads(MODEL_PROPARA.read_text())
+    values = payload[data.draw(st.sampled_from(["start_scores", "transition_scores"]),
+                               label="field")]
+    if isinstance(values[0], list):
+        values = values[data.draw(st.integers(0, len(values) - 1), label="row")]
+    values[data.draw(st.integers(0, len(values) - 1), label="entry")] = data.draw(
+        JSON_VALUES, label="value")
+    work = tmp_path_factory.mktemp("model")
+    model = work / "model.json"
+    model.write_text(json.dumps(payload))
+
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["decode", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                     "--model", str(model), "--out", str(work / "out.jsonl")])
+    assert code in (EXIT_OK, EXIT_VALIDATION), err.getvalue()
+    if code == EXIT_VALIDATION:
+        assert err.getvalue().startswith(f"error: {model}: "), err.getvalue()
+
+
+def _nested_lists(depth):
+    return "[" * depth + "]" * depth
+
+
+def test_deeply_nested_corpus_line_exits_two_with_line(tmp_path, capsys):
+    lines = CORPUS_PROPARA.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["steps"] = None
+    lines[1] = json.dumps(record).replace('"steps": null', '"steps": ' + _nested_lists(100_000))
+    bad = tmp_path / "deep.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["stats", "--corpus", str(bad), "--vocab", "propara"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {bad}:2: bad JSON: ")
+
+
+# Nesting too deep for the JSON parser, and nesting it parses but too deep
+# for reading scores out of lists of lists.
+@pytest.mark.parametrize("depth, message", [(100_000, "bad JSON"), (600, "bad model file")])
+def test_deeply_nested_model_exits_two_naming_it(tmp_path, capsys, depth, message):
+    payload = json.loads(MODEL_PROPARA.read_text())
+    payload["start_scores"] = None
+    model = tmp_path / "deep.json"
+    model.write_text(json.dumps(payload).replace('"start_scores": null',
+                                                 '"start_scores": ' + _nested_lists(depth)))
+    code = main(["decode", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                 "--model", str(model), "--out", str(tmp_path / "out.jsonl")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {model}: {message}: ")
 
 
 @pytest.mark.parametrize("command", ["pipeline", "tune"])
@@ -554,6 +653,39 @@ def test_undecodable_model_exits_three(tmp_path, capsys):
     assert "decode error:" in capsys.readouterr().err
 
 
+def _degenerate_model(path):
+    """The fixture model with every start score -inf: no path is legal."""
+    model = load_model(MODEL_PROPARA)
+    model.start_scores = np.full(model.vocabulary.size, -np.inf)
+    save_model(model, path)
+    return path
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("command", ["decode", "format-qa"])
+def test_failed_command_leaves_output_untouched(tmp_path, capsys, command, existing):
+    # decode fails on its first entity (exit 3) and format-qa on its first
+    # instance (exit 2), both after opening --out. No partial file is left:
+    # a new path stays absent and an existing file keeps its bytes.
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "out.jsonl"
+    if existing:
+        out.write_bytes(b"earlier output\n")
+    if command == "decode":
+        argv = ["decode", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                "--model", str(_degenerate_model(tmp_path / "degenerate.json"))]
+        expected = EXIT_DECODE
+    else:
+        argv = ["format-qa", *_corpus_args(), "--kinds", "bogus"]
+        expected = EXIT_VALIDATION
+    assert main([*argv, "--out", str(out)]) == expected
+    assert capsys.readouterr().err
+    assert sorted(out_dir.iterdir()) == ([out] if existing else [])
+    if existing:
+        assert out.read_bytes() == b"earlier output\n"
+
+
 def test_undecodable_model_in_tune_names_cell_and_entity(tmp_path, capsys):
     model = load_model(MODEL_PROPARA)
     model.start_scores = np.full(model.vocabulary.size, -np.inf)
@@ -568,6 +700,23 @@ def test_undecodable_model_in_tune_names_cell_and_entity(tmp_path, capsys):
     assert (f"decode error: grid cell (0.1, 0.1): procedure {first['id']!r}, "
             f"entity {next(iter(first['gold']))!r}: no state sequence"
             ) in capsys.readouterr().err
+
+
+# A logit of 1e308 overflows once weighted by a tau above 1.79. Line 2 is the
+# hydropower entity electricity, unmentioned in step 1 and mentioned in step 5.
+@pytest.mark.parametrize("row, cell", [(0, "(0.5, 2.0)"), (4, "(2.0, 0.5)")])
+def test_overflow_in_tune_names_the_first_failing_cell(tmp_path, capsys, row, cell):
+    # The grid's largest value is 2.5, so a corner of the grid fails before
+    # the first failing cell in grid order is reached.
+    bad = tmp_path / "emissions.jsonl"
+    _rewrite_line(EMISSIONS_PROPARA, bad, 2, "state_logits",
+                  lambda rows: [*rows[:row], [1e308, *rows[row][1:]], *rows[row + 1:]])
+    code = main(["tune", *_corpus_args(), "--emissions", str(bad), "--model",
+                 str(MODEL_PROPARA), "--grid", "0.5:2.5:0.5"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: grid cell {cell}: procedure 'hydropower', entity 'electricity': "
+        "emission scores must all be finite\n")
 
 
 def test_relax_rescues_undecodable_model(tmp_path):

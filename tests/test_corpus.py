@@ -1,6 +1,9 @@
 """Corpus loading, location values, and gold-grid validation."""
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +29,7 @@ from proctrack.corpus import (
     save_corpus,
     split_stats,
     track_violations,
+    write_json,
 )
 from proctrack.consistency import resolve
 from proctrack.synth import make_corpus
@@ -244,3 +248,18 @@ def test_split_stats_single_procedure():
     assert stats.procedures == 1
     assert stats.avg_steps == pytest.approx(6.0)
     assert stats.avg_entities == pytest.approx(1.0)
+
+
+def test_writer_writes_a_fifo_in_place(tmp_path):
+    # A target that is not a regular file, such as /dev/stdout, is written
+    # as it is, not replaced by a regular file.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    write_json(fifo, {"a": 1})
+    reader.join(timeout=10)
+    assert received == ['{\n  "a": 1\n}\n']
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]

@@ -1,5 +1,7 @@
 """Mention detection, emission weighting, and constrained decoding."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,6 +308,62 @@ def test_relax_changes_nothing_while_a_legal_path_exists(which, n_steps, scale, 
     except NoValidPathError:
         return
     assert viterbi(emissions, model, relax=True) == strict
+
+
+# Model scores for the runner-up test: -inf vetoes, small integers tie.
+MODEL_SCORES = st.sampled_from([-np.inf, -1.0, 0.0, 1.0]) | st.floats(-3, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+    st.sampled_from([1.0, 3e4]),
+    st.booleans(),
+    st.data(),
+)
+def test_runner_up_matches_exhaustive_enumeration(n_labels, n_steps, integer, scale,
+                                                 relax, data):
+    """viterbi(..., runner_up=True) gives the default decode's labels and
+    score plus the second-highest of all L**T path scores, each summed in
+    the decoder's order. Integer logits force exact ties, where the
+    runner-up equals the score. A relaxed decode enumerates the relaxed
+    model when the strict one has no path."""
+    model = TransitionModel(
+        vocabulary=fuzz_vocabulary(n_labels),
+        start_scores=np.array(data.draw(st.lists(MODEL_SCORES, min_size=n_labels,
+                                                 max_size=n_labels))),
+        trans_scores=np.array(data.draw(st.lists(
+            MODEL_SCORES, min_size=n_labels ** 2, max_size=n_labels ** 2))
+        ).reshape(n_labels, n_labels))
+    entries = st.integers(-2, 2).map(float) if integer else st.floats(-2, 2)
+    emissions = np.array(data.draw(st.lists(entries, min_size=n_steps * n_labels,
+                                            max_size=n_steps * n_labels))
+                         ).reshape(n_steps, n_labels) * scale
+
+    def enumerate_scores(model):
+        return {path: path_score(path, emissions, model)
+                for path in itertools.product(range(n_labels), repeat=n_steps)}
+
+    scores = enumerate_scores(model)
+    if relax and max(scores.values()) == -np.inf:
+        scores = enumerate_scores(TransitionModel(
+            vocabulary=model.vocabulary,
+            start_scores=np.where(np.isneginf(model.start_scores), RELAX_SCORE,
+                                  model.start_scores),
+            trans_scores=np.where(np.isneginf(model.trans_scores), RELAX_SCORE,
+                                  model.trans_scores)))
+    ranked = sorted(scores.values(), reverse=True) + [-np.inf]
+    if ranked[0] == -np.inf:
+        with pytest.raises(NoValidPathError):
+            viterbi(emissions, model, relax=relax, runner_up=True)
+        return
+    states, score, runner_up = viterbi(emissions, model, relax=relax, runner_up=True)
+    assert (states, score) == viterbi(emissions, model, relax=relax)
+    assert score == ranked[0] == scores[tuple(map(model.vocabulary.index, states))]
+    assert runner_up == ranked[1]
+    assert type(runner_up) is float
 
 
 @settings(max_examples=40, deadline=None)
