@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import string
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -398,17 +399,23 @@ def read_records(path, parse) -> None:
 def _replacing(path):
     """A text handle on a file beside `path` that takes its place only when
     the block ends without an exception. A failed command leaves no partial
-    output, and an existing file keeps its bytes. A path that exists but is
-    not a regular file, such as /dev/stdout, is written in place."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as handle:
+    output, and an existing file keeps its bytes. A symlink is followed, so
+    the file it names is replaced and the link stays; a replaced file keeps
+    its mode, but other hard links to it keep the old bytes. A path that
+    exists but is not a regular file, such as /dev/stdout, is written in
+    place."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as handle:
             yield handle
         return
-    partial = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    partial = f"{target}.{os.getpid()}.tmp"
     try:
         with open(partial, "w", encoding="utf-8") as handle:
             yield handle
-        os.replace(partial, path)
+        if os.path.exists(target):
+            shutil.copymode(target, partial)
+        os.replace(partial, target)
     finally:
         if os.path.exists(partial):
             os.remove(partial)

@@ -138,51 +138,30 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False,
 
     rows = U.tolist()
     start, trans = model.start_scores, model.trans_scores
-    kernel = _max_plus_top2 if runner_up else _max_plus
     try:
-        path, *scores = kernel(rows, start, trans)
+        path, score, second = _max_plus(rows, start, trans)
     except NoValidPathError:
         if not relax:
             raise
-        path, *scores = kernel(rows, np.where(np.isneginf(start), RELAX_SCORE, start),
-                               np.where(np.isneginf(trans), RELAX_SCORE, trans))
-    return ([model.vocabulary.labels[i] for i in path], *scores)
+        path, score, second = _max_plus(rows, np.where(np.isneginf(start), RELAX_SCORE, start),
+                                        np.where(np.isneginf(trans), RELAX_SCORE, trans))
+    labels = [model.vocabulary.labels[i] for i in path]
+    return (labels, score, second) if runner_up else (labels, score)
 
 
 def _max_plus(rows, start, trans):
-    """Viterbi's (label indices, score) for logit rows; see `viterbi`."""
+    """(label indices, score, runner_up) for logit rows; see `viterbi`."""
     # Max-plus over Python floats: the same IEEE additions in the same order
     # as a numpy formulation, without its per-step array overhead at L <= 6.
-    veto = -np.inf
-    incoming = _incoming(trans)
-    dp = [s + u for s, u in zip(start.tolist(), rows[0])]
-    backptr = []
-    for row in rows[1:]:
-        best_prev = []
-        step = []
-        for edges, u in zip(incoming, row):
-            best, arg = veto, 0
-            for p, s in edges:
-                cand = dp[p] + s
-                if cand > best:                 # strict: lowest predecessor wins ties
-                    best, arg = cand, p
-            step.append(best + u)
-            best_prev.append(arg)
-        dp = step
-        backptr.append(best_prev)
-    return _best_path(dp, backptr)
-
-
-def _max_plus_top2(rows, start, trans):
-    """`_max_plus` plus the runner-up score: (label indices, score, runner_up)."""
     # Each state also keeps the second-best score of the prefixes ending in
     # it. Float addition is monotone, so the two best extensions into a
     # state come from the two best prefixes of its predecessors, and the
-    # runner-up is exactly the second-largest of the path sums that
-    # `_max_plus` maximises. The best score and backpointers are computed
-    # as there, so the path and score are the same.
+    # runner-up is exactly the second-largest of the path sums whose
+    # largest is the score.
     veto = -np.inf
-    incoming = _incoming(trans)
+    # A vetoed edge only adds -inf, which never beats the -inf a state
+    # starts from, so skipping it leaves every score and backpointer as is.
+    incoming = [[(p, s) for p, s in enumerate(col) if s != veto] for col in trans.T.tolist()]
     dp = [s + u for s, u in zip(start.tolist(), rows[0])]
     dp2 = [veto] * len(dp)
     backptr = []
@@ -193,11 +172,11 @@ def _max_plus_top2(rows, start, trans):
             best, second, arg = veto, veto, 0
             for p, s in edges:
                 cand = dp[p] + s
-                if cand > best:
+                if cand > best:                 # strict: lowest predecessor wins ties
                     best, second, arg = cand, best, p
                 elif cand > second:
                     second = cand
-                cand = dp2[p] + s           # never above dp[p] + s
+                cand = dp2[p] + s               # never above dp[p] + s
                 if cand > second:
                     second = cand
             step.append(best + u)
@@ -205,30 +184,15 @@ def _max_plus_top2(rows, start, trans):
             best_prev.append(arg)
         dp, dp2 = step, step2
         backptr.append(best_prev)
-    path, score = _best_path(dp, backptr)
-    return path, score, sorted(dp + dp2, reverse=True)[1]
-
-
-def _incoming(trans):
-    """incoming[q]: (p, score of p -> q) for each edge into q that is not
-    vetoed. A vetoed edge only adds -inf, which never beats the -inf a state
-    starts from, so skipping it leaves every score and backpointer
-    unchanged."""
-    return [[(p, s) for p, s in enumerate(col) if s != -np.inf] for col in trans.T.tolist()]
-
-
-def _best_path(dp, backptr):
-    """(label indices, score) of the best final state, traced back."""
     last = max(range(len(dp)), key=dp.__getitem__)
-    score = dp[last]
-    if score == -np.inf:
-        raise NoValidPathError(f"no state sequence of length {len(backptr) + 1} "
+    if dp[last] == veto:
+        raise NoValidPathError(f"no state sequence of length {len(rows)} "
                                "has finite score under the model")
     path = [last]
     for best_prev in reversed(backptr):
         path.append(best_prev[path[-1]])
     path.reverse()
-    return path, score
+    return path, dp[last], sorted(dp + dp2, reverse=True)[1]
 
 
 def decode_entity(procedure: Procedure, entity: Entity, track: EmissionTrack,

@@ -263,3 +263,22 @@ def test_writer_writes_a_fifo_in_place(tmp_path):
     assert received == ['{\n  "a": 1\n}\n']
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert os.listdir(tmp_path) == ["fifo"]
+
+
+def test_writer_follows_a_symlink_and_keeps_the_mode(tmp_path):
+    # The file a link names is replaced; the link itself stays a link.
+    target = tmp_path / "real.json"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    write_json(link, {"a": 1})
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text() == '{\n  "a": 1\n}\n'
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    # A dangling link creates the file it names, as open(link, "w") would.
+    dangling = tmp_path / "dangling.json"
+    dangling.symlink_to(tmp_path / "new.json")
+    write_json(dangling, [])
+    assert dangling.is_symlink() and (tmp_path / "new.json").read_text() == "[]\n"
+    assert sorted(os.listdir(tmp_path)) == ["dangling.json", "link.json", "new.json", "real.json"]
