@@ -10,6 +10,7 @@ sequences via its -inf entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -137,20 +138,45 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False,
         raise ValidationError("emission scores must all be finite")
 
     rows = U.tolist()
-    start, trans = model.start_scores, model.trans_scores
+    # Keyed by the score arrays' bytes, so a model whose arrays were
+    # reassigned or edited in place never decodes with stale edges.
+    strict, relaxed = _kernel_inputs(*(np.asarray(scores, dtype=float).tobytes()
+                                       for scores in (model.start_scores, model.trans_scores)))
     try:
-        path, score, second = _max_plus(rows, start, trans)
+        path, score, second = _max_plus(rows, *strict)
     except NoValidPathError:
         if not relax:
             raise
-        path, score, second = _max_plus(rows, np.where(np.isneginf(start), RELAX_SCORE, start),
-                                        np.where(np.isneginf(trans), RELAX_SCORE, trans))
+        path, score, second = _max_plus(rows, *relaxed)
     labels = [model.vocabulary.labels[i] for i in path]
     return (labels, score, second) if runner_up else (labels, score)
 
 
-def _max_plus(rows, start, trans):
-    """(label indices, score, runner_up) for logit rows; see `viterbi`."""
+def relaxed_scores(scores) -> np.ndarray:
+    """`scores` with each -inf (vetoed) entry replaced by RELAX_SCORE."""
+    return np.where(np.isneginf(scores), RELAX_SCORE, scores)
+
+
+@lru_cache(maxsize=16)
+def _kernel_inputs(start_bytes: bytes, trans_bytes: bytes):
+    """The strict and the relaxed (start list, incoming edges) of a model's
+    float64 score arrays, given as bytes."""
+    start = np.frombuffer(start_bytes)
+    trans = np.frombuffer(trans_bytes).reshape(start.size, start.size)
+
+    def edges(start, trans):
+        # A vetoed edge only adds -inf, which never beats the -inf a state
+        # starts from, so skipping it leaves every score and backpointer as is.
+        return start.tolist(), [[(p, s) for p, s in enumerate(col) if s != -np.inf]
+                                for col in trans.T.tolist()]
+
+    return edges(start, trans), edges(relaxed_scores(start), relaxed_scores(trans))
+
+
+def _max_plus(rows, start, incoming):
+    """(label indices, score, runner_up) for logit rows, given the start
+    scores and each state's non-vetoed incoming (predecessor, score) edges;
+    see `viterbi`."""
     # Max-plus over Python floats: the same IEEE additions in the same order
     # as a numpy formulation, without its per-step array overhead at L <= 6.
     # Each state also keeps the second-best score of the prefixes ending in
@@ -159,26 +185,28 @@ def _max_plus(rows, start, trans):
     # runner-up is exactly the second-largest of the path sums whose
     # largest is the score.
     veto = -np.inf
-    # A vetoed edge only adds -inf, which never beats the -inf a state
-    # starts from, so skipping it leaves every score and backpointer as is.
-    incoming = [[(p, s) for p, s in enumerate(col) if s != veto] for col in trans.T.tolist()]
-    dp = [s + u for s, u in zip(start.tolist(), rows[0])]
+    dp = [s + u for s, u in zip(start, rows[0])]
     dp2 = [veto] * len(dp)
     backptr = []
     for row in rows[1:]:
         best_prev = []
         step, step2 = [], []
         for edges, u in zip(incoming, row):
-            best, second, arg = veto, veto, 0
-            for p, s in edges:
-                cand = dp[p] + s
-                if cand > best:                 # strict: lowest predecessor wins ties
-                    best, second, arg = cand, best, p
-                elif cand > second:
-                    second = cand
-                cand = dp2[p] + s               # never above dp[p] + s
-                if cand > second:
-                    second = cand
+            if len(edges) == 1:
+                # The backpointer of a state left at -inf is never followed.
+                ((arg, s),) = edges
+                best, second = dp[arg] + s, dp2[arg] + s
+            else:
+                best, second, arg = veto, veto, 0
+                for p, s in edges:
+                    cand = dp[p] + s
+                    if cand > best:             # strict: lowest predecessor wins ties
+                        best, second, arg = cand, best, p
+                    elif cand > second:
+                        second = cand
+                    cand = dp2[p] + s           # never above dp[p] + s
+                    if cand > second:
+                        second = cand
             step.append(best + u)
             step2.append(second + u)
             best_prev.append(arg)

@@ -234,6 +234,23 @@ def test_viterbi_matches_brute_force_on_random_instances():
         assert path_score(indices, emissions, model) == best
 
 
+def test_viterbi_follows_score_arrays_edited_in_place_or_reassigned():
+    """The edge lists the kernel builds once per model never go stale."""
+    _, grids = make_corpus(30, PROPARA, seed=11)
+    model = estimate(grids.values(), PROPARA)
+    emissions = np.random.default_rng(5).normal(size=(6, PROPARA.size))
+    states, score = viterbi(emissions, model)
+    assert (states, score) == reference_viterbi(emissions, model)
+    first, second = (PROPARA.index(state) for state in states[:2])
+    model.trans_scores[first, second] = -np.inf
+    assert viterbi(emissions, model) == reference_viterbi(emissions, model)
+    assert viterbi(emissions, model)[0][:2] != states[:2]
+    model.start_scores = np.where(np.arange(PROPARA.size) == first, -np.inf,
+                                  model.start_scores)
+    assert viterbi(emissions, model) == reference_viterbi(emissions, model)
+    assert viterbi(emissions, model)[0][0] != states[0]
+
+
 def _kernel_models():
     models = []
     for vocabulary in (PROPARA, RECIPES):

@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_tune
+from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, MODEL_PROPARA, reference_tune
 
+from proctrack import tuner
 from proctrack.corpus import PROPARA
 from proctrack.consistency import resolve
-from proctrack.corpus import AnnotationGrid, Entity, Procedure
-from proctrack.decoder import (DecodeConfig, EmissionTrack, decode_entity, viterbi,
-                               weight_emissions)
+from proctrack.corpus import AnnotationGrid, Entity, Procedure, load_corpus
+from proctrack.decoder import (DecodeConfig, EmissionTrack, decode_entity, load_emissions,
+                               viterbi, weight_emissions)
 from proctrack.errors import NoValidPathError, ValidationError
 from proctrack.evaluator import eval_document_level
 from proctrack.synth import OracleConfig, make_corpus, synth_emissions
-from proctrack.transitions import TransitionModel, estimate
+from proctrack.transitions import TransitionModel, estimate, load_model
 from proctrack.tuner import TuneResult, _entity_paths, default_grid, tune
 
 
@@ -160,6 +161,12 @@ def test_tune_matches_reference_on_random_grids(seed, values, integer, relax, da
                 relax=relax) == expected
 
 
+def _procedure_mentioning(flags):
+    """A procedure with one entity, "e", mentioned in the steps flagged True."""
+    return Procedure("p", tuple("water flows" if flag else "sand sits" for flag in flags),
+                     (Entity.from_raw("e", "water"),))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     flags=st.lists(st.booleans(), min_size=1, max_size=6),
@@ -184,8 +191,7 @@ def test_entity_paths_equal_a_decode_of_every_cell(flags, values, divisor, relax
     logits = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=len(flags) * size,
                                          max_size=len(flags) * size)), dtype=float)
     track = EmissionTrack(logits.reshape(len(flags), size) / divisor, ("?",) * (len(flags) + 1))
-    procedure = Procedure("p", tuple("water flows" if flag else "sand sits" for flag in flags),
-                          (Entity.from_raw("e", "water"),))
+    procedure = _procedure_mentioning(flags)
     grid = sorted(k / 100 for k in values)
 
     def decode(tau_exp, tau_imp):
@@ -201,6 +207,91 @@ def test_entity_paths_equal_a_decode_of_every_cell(flags, values, divisor, relax
     assert len(column) == len(grid) ** 2
     for (tau_exp, tau_imp), c in zip(itertools.product(grid, repeat=2), column):
         assert resolved[c].states == decode(tau_exp, tau_imp)
+
+
+_VETO = -np.inf
+
+
+@pytest.mark.parametrize("grid, start, trans, logits, tie, states", [
+    ([0.03, 0.25, 0.68, 1.21, 1.35, 2.52],
+     [-1, 1, _VETO, _VETO, _VETO, -2],
+     [[2, 0, _VETO, 2, 0, _VETO], [2, _VETO, 0, _VETO, 0, 2], [_VETO, 0, -2, _VETO, 2, -1],
+      [_VETO, 1, _VETO, 1, 2, 1], [-1, 1, _VETO, _VETO, _VETO, _VETO], [_VETO, 1, 2, -1, _VETO, -2]],
+     [[2, -2, 3, 0, 2, -2], [-1, -1, 1, 2, 2, -1], [-2, -1, 2, 1, 3, 1]],
+     ((0.25, 0.25), 4.75), ["exist", "outside_after", "move"]),
+    # A hull taken over grid indices, not taus, fills (0.64, 0.9) and the
+    # tie at (0.64, 0.96) with create, destroy, outside_before.
+    ([0.22, 0.59, 0.64, 0.9, 0.96, 2.02, 2.17],
+     [0, 0, _VETO, _VETO, _VETO, -2],
+     [[_VETO, _VETO, -1, 1, _VETO, 0], [-2, 2, 1, _VETO, 0, _VETO], [2, -2, 0, 0, _VETO, _VETO],
+      [-1, 1, _VETO, 1, 1, _VETO], [2, _VETO, 2, _VETO, -1, 1], [_VETO, 1, _VETO, -2, -2, 2]],
+     [[-3, 3, 2, -3, -3, -3], [0, -1, 0, 3, 1, -1], [-3, -1, -3, 0, 2, 0]],
+     ((0.64, 0.96), 4.88), ["exist", "exist", "outside_before"]),
+])
+def test_entity_paths_equal_a_decode_on_uneven_grids(grid, start, trans, logits, tie, states):
+    """The hull of a group of cells is taken at their exact taus: on an
+    uneven grid, a cell inside the hull of grid indices can lie outside the
+    hull of taus, where another path wins or ties. `tie` is a cell where
+    two paths score the same, and `states` the path its decode returns."""
+    flags = (True, False, False)
+    model = TransitionModel(vocabulary=PROPARA, start_scores=start, trans_scores=trans)
+    track = EmissionTrack(logits, ("?",) * (len(flags) + 1))
+    procedure = _procedure_mentioning(flags)
+
+    def decode(tau_exp, tau_imp):
+        weighted = weight_emissions(track.state_logits, flags, DecodeConfig(tau_exp, tau_imp))
+        return viterbi(weighted, model, runner_up=True)
+
+    tie_cell, tie_score = tie
+    assert decode(*tie_cell) == (states, tie_score, tie_score)
+    resolved, column = _entity_paths(procedure, "e", track, grid, model, PROPARA, False)
+    for cell, c in zip(itertools.product(grid, repeat=2), column):
+        assert resolved[c].states == tuple(decode(*cell)[0])
+
+
+def _counting_decodes(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return viterbi(*args, **kwargs)
+
+    monkeypatch.setattr(tuner, "viterbi", counted)
+    return calls
+
+
+@pytest.mark.parametrize("size", [15, 60])
+@pytest.mark.parametrize("flags, corners", [
+    ((True, False, True), 4), ((True, True, True), 2), ((False, False, False), 2)])
+def test_entity_with_one_path_is_decoded_at_its_corners_only(monkeypatch, size, flags,
+                                                             corners):
+    exist = PROPARA.index("exist")
+    start, trans = np.full(PROPARA.size, -np.inf), np.full((PROPARA.size,) * 2, -np.inf)
+    start[exist] = trans[exist, exist] = 0.0
+    model = TransitionModel(vocabulary=PROPARA, start_scores=start, trans_scores=trans)
+    track = EmissionTrack(np.random.default_rng(size).normal(size=(len(flags), PROPARA.size)),
+                          ("?",) * (len(flags) + 1))
+    procedure = _procedure_mentioning(flags)
+    calls = _counting_decodes(monkeypatch)
+    resolved, column = _entity_paths(procedure, "e", track, [k / 10 for k in range(1, size + 1)],
+                                     model, PROPARA, False)
+    assert len(calls) == corners
+    assert len(resolved) == 1 and column == [0] * size ** 2
+
+
+def test_decodes_grow_slower_than_the_grid(monkeypatch):
+    """Decodes follow region boundaries: on the propara fixture, a 60-value
+    grid costs under 3 times the decodes of the 15-value default grid
+    (16 times the cells)."""
+    procedures, grids = load_corpus(CORPUS_PROPARA, PROPARA)
+    emissions = load_emissions(EMISSIONS_PROPARA, procedures, PROPARA)
+    model = load_model(MODEL_PROPARA)
+    calls = _counting_decodes(monkeypatch)
+    tune(procedures, grids, emissions, model, PROPARA)
+    coarse = len(calls)
+    calls.clear()
+    tune(procedures, grids, emissions, model, PROPARA, grid=[k / 40 for k in range(1, 61)])
+    assert len(calls) < 3 * coarse
 
 
 def test_grid_validation():
