@@ -164,9 +164,11 @@ def cmd_resolve(args) -> int:
         track = eset.tracks.get(entity_id) if eset else None
         if track is None:
             raise ValidationError(f"no emissions for ({proc_id!r}, {entity_id!r})")
-        resolved = consistency.resolve(states, track.location_preds, vocabulary)
         grid = grids.setdefault(proc_id, corpus.AnnotationGrid(proc_id, {}))
-        grid.entries[entity_id] = resolved.track()
+        if entity_id in grid.entries:
+            raise ValidationError(f"duplicate decoded states for ({proc_id!r}, {entity_id!r})")
+        grid.entries[entity_id] = consistency.resolve(
+            states, track.location_preds, vocabulary).track()
 
     corpus.read_records(args.decoded, parse)
     corpus.save_corpus(procedures, grids, args.out)

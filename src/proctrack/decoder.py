@@ -9,8 +9,8 @@ sequences via its -inf entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -138,45 +138,20 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False,
         raise ValidationError("emission scores must all be finite")
 
     rows = U.tolist()
-    # Keyed by the score arrays' bytes, so a model whose arrays were
-    # reassigned or edited in place never decodes with stale edges.
-    strict, relaxed = _kernel_inputs(*(np.asarray(scores, dtype=float).tobytes()
-                                       for scores in (model.start_scores, model.trans_scores)))
+    start, trans = model.start_scores, model.trans_scores
     try:
-        path, score, second = _max_plus(rows, *strict)
+        path, score, second = _max_plus(rows, start, trans)
     except NoValidPathError:
         if not relax:
             raise
-        path, score, second = _max_plus(rows, *relaxed)
+        path, score, second = _max_plus(rows, np.where(np.isneginf(start), RELAX_SCORE, start),
+                                        np.where(np.isneginf(trans), RELAX_SCORE, trans))
     labels = [model.vocabulary.labels[i] for i in path]
     return (labels, score, second) if runner_up else (labels, score)
 
 
-def relaxed_scores(scores) -> np.ndarray:
-    """`scores` with each -inf (vetoed) entry replaced by RELAX_SCORE."""
-    return np.where(np.isneginf(scores), RELAX_SCORE, scores)
-
-
-@lru_cache(maxsize=16)
-def _kernel_inputs(start_bytes: bytes, trans_bytes: bytes):
-    """The strict and the relaxed (start list, incoming edges) of a model's
-    float64 score arrays, given as bytes."""
-    start = np.frombuffer(start_bytes)
-    trans = np.frombuffer(trans_bytes).reshape(start.size, start.size)
-
-    def edges(start, trans):
-        # A vetoed edge only adds -inf, which never beats the -inf a state
-        # starts from, so skipping it leaves every score and backpointer as is.
-        return start.tolist(), [[(p, s) for p, s in enumerate(col) if s != -np.inf]
-                                for col in trans.T.tolist()]
-
-    return edges(start, trans), edges(relaxed_scores(start), relaxed_scores(trans))
-
-
-def _max_plus(rows, start, incoming):
-    """(label indices, score, runner_up) for logit rows, given the start
-    scores and each state's non-vetoed incoming (predecessor, score) edges;
-    see `viterbi`."""
+def _max_plus(rows, start, trans):
+    """(label indices, score, runner_up) for logit rows; see `viterbi`."""
     # Max-plus over Python floats: the same IEEE additions in the same order
     # as a numpy formulation, without its per-step array overhead at L <= 6.
     # Each state also keeps the second-best score of the prefixes ending in
@@ -185,28 +160,26 @@ def _max_plus(rows, start, incoming):
     # runner-up is exactly the second-largest of the path sums whose
     # largest is the score.
     veto = -np.inf
-    dp = [s + u for s, u in zip(start, rows[0])]
+    # A vetoed edge only adds -inf, which never beats the -inf a state
+    # starts from, so skipping it leaves every score and backpointer as is.
+    incoming = [[(p, s) for p, s in enumerate(col) if s != veto] for col in trans.T.tolist()]
+    dp = [s + u for s, u in zip(start.tolist(), rows[0])]
     dp2 = [veto] * len(dp)
     backptr = []
     for row in rows[1:]:
         best_prev = []
         step, step2 = [], []
         for edges, u in zip(incoming, row):
-            if len(edges) == 1:
-                # The backpointer of a state left at -inf is never followed.
-                ((arg, s),) = edges
-                best, second = dp[arg] + s, dp2[arg] + s
-            else:
-                best, second, arg = veto, veto, 0
-                for p, s in edges:
-                    cand = dp[p] + s
-                    if cand > best:             # strict: lowest predecessor wins ties
-                        best, second, arg = cand, best, p
-                    elif cand > second:
-                        second = cand
-                    cand = dp2[p] + s           # never above dp[p] + s
-                    if cand > second:
-                        second = cand
+            best, second, arg = veto, veto, 0
+            for p, s in edges:
+                cand = dp[p] + s
+                if cand > best:                 # strict: lowest predecessor wins ties
+                    best, second, arg = cand, best, p
+                elif cand > second:
+                    second = cand
+                cand = dp2[p] + s               # never above dp[p] + s
+                if cand > second:
+                    second = cand
             step.append(best + u)
             step2.append(second + u)
             best_prev.append(arg)
@@ -221,6 +194,43 @@ def _max_plus(rows, start, incoming):
         path.append(best_prev[path[-1]])
     path.reverse()
     return path, dp[last], sorted(dp + dp2, reverse=True)[1]
+
+
+def rounding_bound(state_logits, flags, config: DecodeConfig, model: TransitionModel,
+                   relax: bool = False) -> float:
+    """B: a bound on the rounding error of the float score `viterbi` gives
+    any path of these logits, weighted by taus no larger than config's,
+    against the exact sum of the path's terms.
+
+    `_max_plus` adds a path's 2T terms in one fixed order (the start score
+    and the first weighted logit, then per step a transition score and a
+    weighted logit), so each term, a product tau * logit included, goes
+    through at most 2T roundings. By Higham's analysis of recursive
+    summation, with room to spare,
+
+        B = gamma(2T+2) * (max|start| + (T-1) * max|trans| + sum_t max_l |tau_t * u_tl|)
+
+    with gamma(n) = n*u / (1 - n*u), u = 2**-53 and the finite model scores
+    (and |RELAX_SCORE| when relax is set), plus the least subnormal per step
+    for a product that underflows. Past 1e300 a partial sum could overflow,
+    and B is infinite.
+    """
+    logits = np.asarray(state_logits, dtype=float)
+    mentioned = np.asarray(flags, dtype=bool)
+    row_max = np.abs(logits).max(axis=1)
+    # The largest |score| a decode may add at a start or a transition.
+    start_max, trans_max = (
+        float(max(np.abs(scores[np.isfinite(scores)]).max(initial=0.0),
+                  -RELAX_SCORE if relax else 0.0))
+        for scores in (model.start_scores, model.trans_scores))
+    steps = len(mentioned)
+    mass = (start_max + (steps - 1) * trans_max
+            + config.tau_exp * float(row_max[mentioned].sum())
+            + config.tau_imp * float(row_max[~mentioned].sum()))
+    if not mass < 1e300:
+        return math.inf
+    n = (2 * steps + 2) * 2.0 ** -53
+    return n / (1 - n) * mass + steps * math.ulp(0.0)
 
 
 def decode_entity(procedure: Procedure, entity: Entity, track: EmissionTrack,

@@ -312,6 +312,10 @@ _CLAUSES = {
     ("recipes", "consume", False): "It dissolves.",
     ("recipes", "note", True): "Check on the {name}.",
 }
+
+# Share of a step's clauses about an entity that name it.
+MENTION_RATE = 0.75
+
 _NO_LOC_CLAUSES = {
     ("propara", "create", True): "The {name} forms.",
     ("propara", "create", False): "Something new forms.",
@@ -320,8 +324,8 @@ _NO_LOC_CLAUSES = {
 }
 
 
-def _clause(rng, flavor, kind, entity, word, mention_rate):
-    mentioned = rng.random() < mention_rate
+def _clause(rng, flavor, kind, entity, word):
+    mentioned = rng.random() < MENTION_RATE
     name = entity.aliases[int(rng.integers(len(entity.aliases)))]
     if word is None and (flavor, kind, mentioned) in _NO_LOC_CLAUSES:
         return _NO_LOC_CLAUSES[flavor, kind, mentioned].format(name=name)
@@ -331,13 +335,12 @@ def _clause(rng, flavor, kind, entity, word, mention_rate):
     return template.format(name=name, loc=word)
 
 
-def make_corpus(n_procedures: int, vocabulary: StateVocabulary, seed: int,
-                mention_rate: float = 0.75):
+def make_corpus(n_procedures: int, vocabulary: StateVocabulary, seed: int):
     """Generate (procedures, grids) with consistent gold tracks.
 
     Every location span in the gold appears verbatim in the step text that
     introduced it, and entity names appear in a step's text only when the
-    generator chose an explicit clause, at the given mention rate.
+    generator chose an explicit clause, at MENTION_RATE.
     """
     if vocabulary.name not in _ENTITY_WORDS:
         raise ValidationError(
@@ -378,7 +381,7 @@ def make_corpus(n_procedures: int, vocabulary: StateVocabulary, seed: int,
                 if event is None:
                     continue
                 kind, word = event
-                clause = _clause(rng, flavor, kind, entity, word, mention_rate)
+                clause = _clause(rng, flavor, kind, entity, word)
                 if clause:
                     clauses.append(clause)
             if not clauses:

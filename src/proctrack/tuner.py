@@ -17,34 +17,33 @@ bit-identical to scoring the split in one call.
 An entity is not decoded at every cell of its grid. A path's exact score
 is affine in (tau_exp, tau_imp), c + tau_exp*E + tau_imp*I, so the cells
 where one path beats every other lie in a convex region (parametric shortest
-paths, Gusfield 1980). The search decodes the grid's corners with
-`viterbi(..., runner_up=True)`, then repeats a round until every cell is
-settled (decoded or filled). A round predicts each unsettled cell's winner
-among the paths found so far from their affine scores; the prediction only
-chooses what to check, never what a cell gets. For each group of cells with
-the same predicted path p, joined by the cells already decoded to p with a
-margin over 4*B, it decodes every unsettled vertex of the group's convex
-hull. If each vertex returns p and its float score beats the runner-up by
-more than 4*B, every cell of the group gets p. B bounds the rounding error
-of any path's float score anywhere in the entity's grid:
-
-    B = gamma(2T+2) * (max|start| + (T-1) * max|trans| + sum_t max_l |tau_t * u_tl|)
-
-with gamma(n) = n*u / (1 - n*u), u = 2**-53, the finite model scores (and
-|RELAX_SCORE| when relaxed) and the grid's largest taus. A margin over 4*B
-at each vertex leaves an exact margin over 2*B at every point of the hull,
-since the exact margin over any other path is affine too, so the winner's
-float score still beats every other path's at each cell inside. Float
-addition is monotone, so Viterbi returns the argmax of the fixed-order
-float path sums: a filled cell gets the path a decode of it returns. Ties
-and near-ties never fill, and a cell on them is decoded. The hull is taken
-at the cells' taus, as exact integers in one power-of-two unit, not at
-their grid indices: on an uneven grid a cell inside the hull of indices can
-lie outside the hull of taus, where another path wins. A group that is not
-filled has a vertex that failed, and only a cell decoded in this round can
-fail, so every round settles at least one cell and the search ends. On
-`propara-tune` at seed 1 it decodes 1,279 times for the 225-cell grid and
-2,412 times for a 3,600-cell one (0.025 to 1.5 in steps of 0.025).
+paths, Gusfield 1980). E and I sum the path's logits over the mentioned and
+the unmentioned steps, and c is the float score of the decode that found
+the path less its tau_exp*E and tau_imp*I. The search decodes the grid's
+corners with `viterbi(..., runner_up=True)`, then repeats a round until
+every cell is settled (decoded or filled). A round predicts each unsettled
+cell's winner among the paths found so far from their affine scores; the
+prediction only chooses what to check, never what a cell gets, so its
+rounding does not matter. For each group of cells with the same predicted
+path p, joined by the cells already decoded to p with a margin over 4*B, it
+decodes every unsettled vertex of the group's convex hull. If each vertex
+returns p and its float score beats the runner-up by more than 4*B, every
+cell of the group gets p. B is `decoder.rounding_bound` at the grid's
+largest taus, which bounds the rounding error of any path's float score
+anywhere in the entity's grid. A margin over 4*B at each vertex leaves an
+exact margin over 2*B at every point of the hull, since the exact margin
+over any other path is affine too, so the winner's float score still beats
+every other path's at each cell inside. Float addition is monotone, so
+Viterbi returns the argmax of the fixed-order float path sums: a filled
+cell gets the path a decode of it returns. Ties and near-ties never fill,
+and a cell on them is decoded. The hull is taken at the cells' taus, as
+exact integers in one power-of-two unit, not at their grid indices: on an
+uneven grid a cell inside the hull of indices can lie outside the hull of
+taus, where another path wins. A group that is not filled has a vertex that
+failed, and only a cell decoded in this round can fail, so every round
+settles at least one cell and the search ends. On `propara-tune` at seed 1
+it decodes 1,279 times for the 225-cell grid and 2,412 times for a
+3,600-cell one (0.025 to 1.5 in steps of 0.025).
 When a decode fails, the entity's cells are decoded in grid order instead,
 so the error names the first failing cell as a per-cell loop would.
 """
@@ -52,15 +51,13 @@ so the error names the first failing cell as a per-cell loop would.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .consistency import resolve
 from .corpus import AnnotationGrid, StateVocabulary
-from .decoder import (RELAX_SCORE, DecodeConfig, detect_mentions, relaxed_scores, viterbi,
-                      weight_emissions)
+from .decoder import DecodeConfig, detect_mentions, rounding_bound, viterbi, weight_emissions
 from .errors import ToolkitError, ValidationError
 from .evaluator import document_report, eval_document_level
 from .pipeline import join
@@ -82,17 +79,6 @@ class TuneResult:
 
 def _counts(report):
     return [(q.n_pred, q.n_gold, q.n_correct) for q in report.questions().values()]
-
-
-def _rounding_bound(steps: int, mass: float) -> float:
-    """B for a path of `steps` steps whose terms have absolute values summing
-    to at most `mass`; see the module docstring. Each of the `steps`
-    products may also underflow by half a subnormal. Past 1e300 a partial
-    sum could overflow, and the bound is infinite."""
-    if not mass < 1e300:
-        return math.inf
-    n = (2 * steps + 2) * 2.0 ** -53
-    return n / (1 - n) * mass + steps * math.ulp(0.0)
 
 
 def _exact(values):
@@ -137,18 +123,9 @@ def _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
     # axis whose tau no step uses collapses to the first value.
     shape = (len(values) if mentioned.any() else 1, len(values) if not mentioned.all() else 1)
     logits = track.state_logits
-    row_max = np.abs(logits).max(axis=1)
-    mass_exp, mass_imp = float(row_max[mentioned].sum()), float(row_max[~mentioned].sum())
-    # The largest |score| a decode may add at a start or a transition.
-    start_max, trans_max = (
-        max(np.abs(scores[np.isfinite(scores)]).max(initial=0.0),
-            abs(RELAX_SCORE) if relax else 0.0)
-        for scores in (model.start_scores, model.trans_scores))
-    threshold = 4 * _rounding_bound(len(flags), start_max + (len(flags) - 1) * trans_max
-                                    + values[shape[0] - 1] * mass_exp
-                                    + values[shape[1] - 1] * mass_imp)
-    start, trans = ((relaxed_scores(model.start_scores), relaxed_scores(model.trans_scores))
-                    if relax else (model.start_scores, model.trans_scores))
+    # B at the grid's largest taus bounds it at every cell.
+    threshold = 4 * rounding_bound(logits, flags, DecodeConfig(values[-1], values[-1]),
+                                   model, relax)
 
     resolved, path_index = [], {}
     terms = []              # per path: its score's (constant, tau_exp, tau_imp) terms
@@ -164,8 +141,8 @@ def _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
             resolved.append(resolve(states, track.location_preds, vocabulary).track())
             labels = [model.vocabulary.index(state) for state in states]
             emitted = logits[np.arange(len(labels)), labels]
-            terms.append((start[labels[0]] + trans[labels[:-1], labels[1:]].sum(),
-                          emitted[mentioned].sum(), emitted[~mentioned].sum()))
+            per_exp, per_imp = float(emitted[mentioned].sum()), float(emitted[~mentioned].sum())
+            terms.append((score - values[i] * per_exp - values[j] * per_imp, per_exp, per_imp))
         at[i, j] = path_index[states]
         strong[i, j] = score - runner_up > threshold
 

@@ -235,6 +235,22 @@ def test_non_string_ids_exit_two_with_line(tmp_path, capsys, command, field):
     assert f"error: {bad}:2: " in capsys.readouterr().err
 
 
+def test_duplicate_decoded_states_exit_two_with_line(tmp_path, capsys):
+    decoded = tmp_path / "decoded.jsonl"
+    assert main(["decode", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                 "--model", str(MODEL_PROPARA), "--out", str(decoded)]) == EXIT_OK
+    lines = decoded.read_text().splitlines()
+    decoded.write_text("\n".join([lines[0], *lines]) + "\n")
+    record = json.loads(lines[0])
+    capsys.readouterr()
+    code = main(["resolve", *_corpus_args(), "--decoded", str(decoded),
+                 "--emissions", str(EMISSIONS_PROPARA), "--out", str(tmp_path / "out.jsonl")])
+    assert code == EXIT_VALIDATION
+    assert (f"error: {decoded}:2: duplicate decoded states for "
+            f"({record['procedure_id']!r}, {record['entity_id']!r})"
+            in capsys.readouterr().err)
+
+
 BAD_LOGITS = {
     "object-cell": lambda rows: [[{"a": 1}, *row[1:]] for row in rows],
     "beyond-float-range": lambda rows: [[10 ** 400, *row[1:]] for row in rows],

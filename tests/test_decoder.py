@@ -1,6 +1,7 @@
 """Mention detection, emission weighting, and constrained decoding."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from proctrack.decoder import (
     decode_entity,
     detect_mentions,
     load_emissions,
+    rounding_bound,
     save_emissions,
     viterbi,
     weight_emissions,
@@ -381,6 +383,73 @@ def test_runner_up_matches_exhaustive_enumeration(n_labels, n_steps, integer, sc
     assert score == ranked[0] == scores[tuple(map(model.vocabulary.index, states))]
     assert runner_up == ranked[1]
     assert type(runner_up) is float
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=8),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1e-310, 1e-300, 1e-20, 1.0, 1e3, 1e6]),
+    st.data(),
+)
+def test_rounding_bound_bounds_the_kernels_float_error(n_labels, n_steps, relax, zero_model,
+                                                       scale, data):
+    """A decode's float score is within rounding_bound of the exact sum of
+    its path's start, transition and tau * logit terms. A model whose finite
+    scores are all 0, with subnormal logits, leaves only the products'
+    underflow as error."""
+    entries = st.sampled_from([-np.inf, 0.0]) if zero_model else MODEL_SCORES
+    model = TransitionModel(
+        vocabulary=fuzz_vocabulary(n_labels),
+        start_scores=np.array(data.draw(st.lists(entries, min_size=n_labels,
+                                                 max_size=n_labels))),
+        trans_scores=np.array(data.draw(st.lists(
+            entries, min_size=n_labels ** 2, max_size=n_labels ** 2))
+        ).reshape(n_labels, n_labels))
+    logits = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=n_steps * n_labels,
+                                         max_size=n_steps * n_labels))
+                      ).reshape(n_steps, n_labels) * scale
+    flags = data.draw(st.lists(st.booleans(), min_size=n_steps, max_size=n_steps))
+    taus = st.floats(0, 1.5, exclude_min=True)
+    config = DecodeConfig(data.draw(taus), data.draw(taus))
+    try:
+        states, score = viterbi(weight_emissions(logits, flags, config), model, relax=relax)
+    except NoValidPathError:
+        return
+    # A relaxed decode adds RELAX_SCORE where a strict one would add -inf.
+    start, trans = (np.where(np.isneginf(scores), RELAX_SCORE, scores)
+                    for scores in (model.start_scores, model.trans_scores))
+    path = [model.vocabulary.index(state) for state in states]
+    exact = (Fraction(start[path[0]])
+             + sum(Fraction(trans[p, q]) for p, q in zip(path, path[1:]))
+             + sum(Fraction(config.tau_exp if flag else config.tau_imp) * Fraction(row[label])
+                   for flag, row, label in zip(flags, logits, path)))
+    assert abs(Fraction(score) - exact) <= Fraction(rounding_bound(logits, flags, config,
+                                                                    model, relax))
+
+
+def test_rounding_bound_holds_when_every_addition_rounds_down():
+    """Logits picked so that each of the kernel's additions rounds down by
+    nearly half an ulp: the error of 8 steps is past gamma(2) of the terms,
+    and still within the bound."""
+    logits, total = [], 0.0
+    for _ in range(8):
+        logit = max((1 - k * 2.0 ** -53 for k in range(1, 64)),
+                    key=lambda x: Fraction(total) + Fraction(x) - Fraction(total + x))
+        logits.append([logit, 0.0])
+        total += logit
+    model = TransitionModel(vocabulary=fuzz_vocabulary(2), start_scores=np.zeros(2),
+                            trans_scores=np.zeros((2, 2)))
+    flags, config = [True] * 8, DecodeConfig(1.0, 1.0)
+    states, score = viterbi(weight_emissions(logits, flags, config), model)
+    assert states == ["s0"] * 8
+    exact = sum(Fraction(row[0]) for row in logits)
+    error = exact - Fraction(score)
+    n = Fraction(2, 2 ** 53)
+    assert n / (1 - n) * exact < error          # past gamma(2) * the terms' sum
+    assert error <= Fraction(rounding_bound(logits, flags, config, model))
 
 
 @settings(max_examples=40, deadline=None)
