@@ -43,8 +43,8 @@ def _add_decode_args(sub, taus=True):
         sub.add_argument("--tau-exp", type=float, default=0.6)
         sub.add_argument("--tau-imp", type=float, default=0.7)
     sub.add_argument("--relax", action="store_true",
-                     help="when no legal path exists, decode with -inf model scores "
-                          "replaced by a finite penalty")
+                     help="when no legal path exists, decode the paths with the fewest "
+                          "vetoed (-inf) starts and transitions")
 
 
 def _load(args):
@@ -77,8 +77,8 @@ def _parse_grid(spec: str):
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ValidationError(
             f"bad grid spec {spec!r}; values must be finite, with step > 0 and stop >= start")
-    span = (stop - start) / step
-    count = round(span) + 1 if math.isfinite(span) else math.inf
+    span = (stop - start) / step + 1e-9       # keeps a stop that division falls just short of
+    count = math.floor(span) + 1 if math.isfinite(span) else math.inf
     if count > GRID_MAX_VALUES:
         raise ValidationError(
             f"bad grid spec {spec!r}; it has more than {GRID_MAX_VALUES} values")

@@ -18,11 +18,7 @@ import numpy as np
 from .corpus import (Entity, Procedure, StateVocabulary, check_str, check_str_list,
                      read_records, token_text, write_records)
 from .errors import NoValidPathError, ValidationError
-from .transitions import TransitionModel
-
-# Stand-in for -inf when decoding with relax=True finds no legal path of the
-# length asked for. Finite, so some path always exists.
-RELAX_SCORE = -1e4
+from .transitions import TransitionModel, fewest_vetoes
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,6 @@ def weight_emissions(state_logits, flags, config: DecodeConfig) -> np.ndarray:
     if len(flags) != logits.shape[0]:
         raise ValidationError(
             f"{len(flags)} mention flags for {logits.shape[0]} steps")
-    if not (config.tau_exp > 0 and config.tau_imp > 0):
-        raise ValidationError("tau values must be positive")
     taus = np.where(np.asarray(flags, dtype=bool), config.tau_exp, config.tau_imp)
     return logits * taus[:, None]
 
@@ -116,14 +110,15 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False,
 
     Returns (labels, score). Ties are broken toward the lowest label index
     at every backpointer decision. Raises NoValidPathError when every
-    sequence scores -inf; with relax=True, it then decodes again with the
-    -inf model entries replaced by RELAX_SCORE, so decoding always succeeds
-    and a vetoed path is picked only when no legal one exists.
+    sequence scores -inf; with relax=True it then ranks sequences by fewest
+    vetoed (-inf) starts and transitions first and score second, a vetoed
+    entry adding 0 (a lexicographic semiring, Roark, Sproat & Shafran 2011).
+    So a vetoed path is picked only when no legal one exists.
 
     With runner_up=True it returns (labels, score, runner_up): runner_up is
-    the second-highest score over all label sequences of the same decode.
-    It equals score on a tie and is -inf when only one sequence scores
-    above -inf.
+    the second-highest score over all label sequences of the same decode,
+    under relax those with the fewest vetoes. It equals score on a tie and
+    is -inf when there is no second such sequence.
     """
     U = np.asarray(emissions, dtype=float)
     if U.ndim != 2:
@@ -137,16 +132,25 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False,
     if not np.isfinite(U).all():
         raise ValidationError("emission scores must all be finite")
 
-    rows = U.tolist()
+    rows, depth = U.tolist(), 1
     start, trans = model.start_scores, model.trans_scores
     try:
         path, score, second = _max_plus(rows, start, trans)
     except NoValidPathError:
         if not relax:
             raise
-        path, score, second = _max_plus(rows, np.where(np.isneginf(start), RELAX_SCORE, start),
-                                        np.where(np.isneginf(trans), RELAX_SCORE, trans))
-    labels = [model.vocabulary.labels[i] for i in path]
+        # State q*depth + k is label q after k vetoed entries, which add 0;
+        # label-major, so ties still go to the lowest label. No state holds
+        # more than the fewest vetoes. Row `size` at k = 0 holds the starts.
+        depth = fewest_vetoes(model, len(rows)) + 1
+        k, scores = np.arange(depth), np.vstack([trans, start])
+        layered = np.full((size + 1, depth, size, depth), -np.inf)
+        layered[:, k, :, k] = scores
+        layered[:, k[:-1], :, k[1:]] = np.where(np.isneginf(scores), 0.0, -np.inf)
+        layered = layered.reshape(-1, size * depth)
+        path, score, second = _max_plus([[u for u in row for _ in k] for row in rows],
+                                        layered[-depth], layered[:-depth])
+    labels = [model.vocabulary.labels[i // depth] for i in path]
     return (labels, score, second) if runner_up else (labels, score)
 
 
@@ -196,8 +200,7 @@ def _max_plus(rows, start, trans):
     return path, dp[last], sorted(dp + dp2, reverse=True)[1]
 
 
-def rounding_bound(state_logits, flags, config: DecodeConfig, model: TransitionModel,
-                   relax: bool = False) -> float:
+def rounding_bound(state_logits, flags, config: DecodeConfig, model: TransitionModel) -> float:
     """B: a bound on the rounding error of the float score `viterbi` gives
     any path of these logits, weighted by taus no larger than config's,
     against the exact sum of the path's terms.
@@ -211,18 +214,16 @@ def rounding_bound(state_logits, flags, config: DecodeConfig, model: TransitionM
         B = gamma(2T+2) * (max|start| + (T-1) * max|trans| + sum_t max_l |tau_t * u_tl|)
 
     with gamma(n) = n*u / (1 - n*u), u = 2**-53 and the finite model scores
-    (and |RELAX_SCORE| when relax is set), plus the least subnormal per step
-    for a product that underflows. Past 1e300 a partial sum could overflow,
-    and B is infinite.
+    (a relaxed decode adds 0 for a vetoed one), plus the least subnormal per
+    step for a product that underflows. Past 1e300 a partial sum could
+    overflow, and B is infinite.
     """
     logits = np.asarray(state_logits, dtype=float)
     mentioned = np.asarray(flags, dtype=bool)
     row_max = np.abs(logits).max(axis=1)
     # The largest |score| a decode may add at a start or a transition.
-    start_max, trans_max = (
-        float(max(np.abs(scores[np.isfinite(scores)]).max(initial=0.0),
-                  -RELAX_SCORE if relax else 0.0))
-        for scores in (model.start_scores, model.trans_scores))
+    start_max, trans_max = (float(np.abs(scores[np.isfinite(scores)]).max(initial=0.0))
+                            for scores in (model.start_scores, model.trans_scores))
     steps = len(mentioned)
     mass = (start_max + (steps - 1) * trans_max
             + config.tau_exp * float(row_max[mentioned].sum())
@@ -234,8 +235,7 @@ def rounding_bound(state_logits, flags, config: DecodeConfig, model: TransitionM
 
 
 def decode_entity(procedure: Procedure, entity: Entity, track: EmissionTrack,
-                  model: TransitionModel, config: DecodeConfig,
-                  relax: bool = False) -> list[str]:
+                  model: TransitionModel, config: DecodeConfig) -> list[str]:
     """Mention-weighted decode for one entity; returns its state sequence."""
     if track.num_steps != procedure.num_steps:
         raise ValidationError(
@@ -243,7 +243,7 @@ def decode_entity(procedure: Procedure, entity: Entity, track: EmissionTrack,
             f"{procedure.id!r} has {procedure.num_steps}")
     flags = detect_mentions(procedure, entity)
     weighted = weight_emissions(track.state_logits, flags, config)
-    states, _ = viterbi(weighted, model, relax=relax)
+    states, _ = viterbi(weighted, model)
     return states
 
 

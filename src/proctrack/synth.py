@@ -81,8 +81,8 @@ class OracleConfig:
             if key not in _BIAS_KEYS:
                 raise ValidationError(
                     f"unknown corruption_bias key {key!r}; allowed: {_BIAS_KEYS}")
-            if extra < 0:
-                raise ValidationError(f"corruption_bias[{key!r}] must be >= 0")
+            if not extra >= 0:                  # NaN included
+                raise ValidationError(f"corruption_bias[{key!r}] must be >= 0, got {extra}")
         worst = self.state_noise + max(bias.get("explicit", 0.0), bias.get("implicit", 0.0))
         if worst >= 1.0:
             raise ValidationError(

@@ -112,17 +112,19 @@ def estimate(grids, vocabulary: StateVocabulary) -> TransitionModel:
     )
 
 
-def validate_path_exists(model: TransitionModel, num_steps: int) -> bool:
-    """True when some length-T sequence has finite start and transition scores."""
+def fewest_vetoes(model: TransitionModel, num_steps: int) -> int:
+    """The fewest -inf starts and transitions on any length-T sequence."""
     if num_steps < 1:
         raise ValidationError("num_steps must be >= 1")
-    reachable = np.isfinite(model.start_scores)
-    edges = np.isfinite(model.trans_scores)
-    for _ in range(num_steps - 1):
-        if not reachable.any():
-            return False
-        reachable = (reachable[:, None] & edges).any(axis=0)
-    return bool(reachable.any())
+    vetoes, edges = (np.isneginf(s) * 1 for s in (model.start_scores, model.trans_scores))
+    for _ in range(num_steps - 1):              # min-plus over veto counts
+        vetoes = (vetoes[:, None] + edges).min(axis=0)
+    return int(vetoes.min())
+
+
+def validate_path_exists(model: TransitionModel, num_steps: int) -> bool:
+    """True when some length-T sequence has finite start and transition scores."""
+    return fewest_vetoes(model, num_steps) == 0
 
 
 def audit_rare_transitions(model: TransitionModel, min_count: int):

@@ -36,14 +36,16 @@ over any other path is affine too, so the winner's float score still beats
 every other path's at each cell inside. Float addition is monotone, so
 Viterbi returns the argmax of the fixed-order float path sums: a filled
 cell gets the path a decode of it returns. Ties and near-ties never fill,
-and a cell on them is decoded. The hull is taken at the cells' taus, as
-exact integers in one power-of-two unit, not at their grid indices: on an
-uneven grid a cell inside the hull of indices can lie outside the hull of
-taus, where another path wins. A group that is not filled has a vertex that
-failed, and only a cell decoded in this round can fail, so every round
-settles at least one cell and the search ends. On `propara-tune` at seed 1
-it decodes 1,279 times for the 225-cell grid and 2,412 times for a
-3,600-cell one (0.025 to 1.5 in steps of 0.025).
+and a cell on them is decoded. A relaxed decode ranks only the paths with
+the fewest vetoed entries, a count the taus do not change, so every cell
+ranks the same paths, and the argument holds among them. The hull is taken
+at the cells' taus, as exact integers in one power-of-two unit, not at
+their grid indices: on an uneven grid a cell inside the hull of indices can
+lie outside the hull of taus, where another path wins. A group that is not
+filled has a vertex that failed, and only a cell decoded in this round can
+fail, so every round settles at least one cell and the search ends. On
+`propara-tune` at seed 1 it decodes 1,279 times for the 225-cell grid and
+2,412 times for a 3,600-cell one (0.025 to 1.5 in steps of 0.025).
 When a decode fails, the entity's cells are decoded in grid order instead,
 so the error names the first failing cell as a per-cell loop would.
 """
@@ -124,8 +126,7 @@ def _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
     shape = (len(values) if mentioned.any() else 1, len(values) if not mentioned.all() else 1)
     logits = track.state_logits
     # B at the grid's largest taus bounds it at every cell.
-    threshold = 4 * rounding_bound(logits, flags, DecodeConfig(values[-1], values[-1]),
-                                   model, relax)
+    threshold = 4 * rounding_bound(logits, flags, DecodeConfig(values[-1], values[-1]), model)
 
     resolved, path_index = [], {}
     terms = []              # per path: its score's (constant, tau_exp, tau_imp) terms

@@ -13,7 +13,7 @@ import numpy as np
 from proctrack.consistency import resolve
 from proctrack.corpus import (NO_LOCATION, PROPARA, UNKNOWN_LOCATION, AnnotationGrid,
                               LocationValue, StateVocabulary)
-from proctrack.decoder import RELAX_SCORE, DecodeConfig, detect_mentions, weight_emissions
+from proctrack.decoder import DecodeConfig, detect_mentions, weight_emissions
 from proctrack.errors import NoValidPathError
 from proctrack.evaluator import eval_document_level
 from proctrack.pipeline import join
@@ -78,6 +78,24 @@ def path_score(labels, emissions: np.ndarray, model: TransitionModel) -> float:
     return float(s)
 
 
+def relaxed_path_scores(emissions: np.ndarray, model: TransitionModel) -> dict:
+    """(vetoed entries, score) of every label-index path, each score summed
+    in the decoder's order with 0 for a vetoed (-inf) start or transition."""
+    scores = np.asarray(emissions, dtype=float)
+    n_steps, n_labels = scores.shape
+    start, trans = (np.where(np.isneginf(s), 0.0, s)
+                    for s in (model.start_scores, model.trans_scores))
+    out = {}
+    for path in itertools.product(range(n_labels), repeat=n_steps):
+        vetoes = int(np.isneginf(model.start_scores[path[0]])) + sum(
+            int(np.isneginf(model.trans_scores[p, q])) for p, q in zip(path, path[1:]))
+        total = start[path[0]] + scores[0, path[0]]
+        for t in range(1, n_steps):
+            total = total + trans[path[t - 1], path[t]] + scores[t, path[t]]
+        out[path] = (vetoes, float(total))
+    return out
+
+
 def reference_detect_mentions(procedure, entity) -> tuple[bool, ...]:
     """Mention flags by token lists: a step mentions the entity when some
     alias's [a-z0-9]+ tokens occur as a contiguous run of the step's."""
@@ -96,26 +114,36 @@ def reference_detect_mentions(procedure, entity) -> tuple[bool, ...]:
 
 def reference_viterbi(emissions, model: TransitionModel, relax: bool = False):
     """The decoder's Viterbi as a numpy loop over steps: one (L, L) candidate
-    matrix per step, argmax for the lowest-index backpointer. Returns
-    (labels, score) like `decoder.viterbi`, without its input checks."""
+    matrix per step. Each state keeps the candidate ranked first by (vetoed
+    entries, -score, predecessor), so a strict decode, which counts no
+    vetoes, takes the best score and the lowest-index backpointer. With
+    relax=True a vetoed start or transition counts 1 and adds 0 to the
+    score. Returns (labels, score) like `decoder.viterbi`, without its input
+    checks."""
     U = np.asarray(emissions, dtype=float)
     size = model.vocabulary.size
-    start = model.start_scores
-    trans = model.trans_scores
+    start, trans = model.start_scores, model.trans_scores
+    start_vetoes, trans_vetoes = np.zeros(size, dtype=int), np.zeros((size, size), dtype=int)
     if relax:
-        start = np.where(np.isneginf(start), RELAX_SCORE, start)
-        trans = np.where(np.isneginf(trans), RELAX_SCORE, trans)
+        start_vetoes, trans_vetoes = np.isneginf(start) * 1, np.isneginf(trans) * 1
+        start, trans = (np.where(np.isneginf(scores), 0.0, scores) for scores in (start, trans))
+
+    def first(vetoes, scores):
+        """Per column, the row ranked first by (vetoes, -score, row)."""
+        rows = np.broadcast_to(np.arange(len(scores))[:, None], scores.shape)
+        return np.lexsort((rows, -scores, vetoes), axis=0)[0]
 
     T = U.shape[0]
-    dp = start + U[0]
+    dp, vetoes = start + U[0], start_vetoes
     backptr = np.zeros((T, size), dtype=int)
     for t in range(1, T):
-        cand = dp[:, None] + trans
-        best_prev = cand.argmax(axis=0)
+        cand, cand_vetoes = dp[:, None] + trans, vetoes[:, None] + trans_vetoes
+        best_prev = first(cand_vetoes, cand)
         dp = cand[best_prev, np.arange(size)] + U[t]
+        vetoes = cand_vetoes[best_prev, np.arange(size)]
         backptr[t] = best_prev
 
-    last = int(dp.argmax())
+    last = int(first(vetoes[:, None], dp[:, None])[0])
     score = float(dp[last])
     if score == -np.inf:
         raise NoValidPathError(
@@ -393,6 +421,7 @@ __all__ = [
     "path_score",
     "reference_detect_mentions",
     "reference_viterbi",
+    "relaxed_path_scores",
     "strict_else_relaxed_reference",
     "reference_tune",
     "reference_propara_track",

@@ -626,6 +626,30 @@ def test_oversized_grid_exits_two(tmp_path, capsys, spec):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("spec, values", [
+    ("0.1:0.36:0.1", [0.1, 0.2, 0.3]),
+    ("0.1:0.3:0.1", [0.1, 0.2, 0.3]),
+    ("0.5:0.7:0.1", [0.5, 0.6, 0.7]),
+])
+def test_grid_stops_at_stop(tmp_path, spec, values):
+    """The grid never runs past stop, and keeps a stop that float division
+    lands just short of."""
+    out = tmp_path / "tune.json"
+    assert main(["tune", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                 "--model", str(MODEL_PROPARA), "--grid", spec, "--out", str(out)]) == EXIT_OK
+    table = json.loads(out.read_text())["table"]
+    assert sorted({row["tau_exp"] for row in table}) == values
+
+
+@pytest.mark.parametrize("flag", ["--bias-explicit", "--bias-implicit"])
+def test_nan_bias_exits_two_naming_the_key(tmp_path, capsys, flag):
+    code = main(["synth", *_corpus_args(), flag, "nan", "--out", str(tmp_path / "e.jsonl")])
+    assert code == EXIT_VALIDATION
+    key = flag.removeprefix("--bias-")
+    assert f"error: corruption_bias[{key!r}] must be >= 0, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "e.jsonl").exists()
+
+
 def test_validation_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "p0"}\n')

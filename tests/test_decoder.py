@@ -1,6 +1,5 @@
 """Mention detection, emission weighting, and constrained decoding."""
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +12,7 @@ from helpers import (
     fuzz_vocabulary,
     path_score,
     random_model,
+    relaxed_path_scores,
     reference_detect_mentions,
     reference_viterbi,
     strict_else_relaxed_reference,
@@ -21,7 +21,6 @@ from proctrack.corpus import PROPARA, RECIPES, Entity, LocationValue, Procedure,
 from proctrack.corpus import AnnotationGrid
 from proctrack.corpus import load_corpus
 from proctrack.decoder import (
-    RELAX_SCORE,
     DecodeConfig,
     EmissionSet,
     EmissionTrack,
@@ -36,7 +35,7 @@ from proctrack.decoder import (
 )
 from proctrack.errors import NoValidPathError, ValidationError
 from proctrack.synth import make_corpus
-from proctrack.transitions import TransitionModel, estimate, validate_path_exists
+from proctrack.transitions import TransitionModel, estimate, fewest_vetoes, validate_path_exists
 
 
 def _single_track_model():
@@ -205,13 +204,23 @@ def test_viterbi_raises_without_valid_path():
         viterbi(np.zeros((3, PROPARA.size)), model)
 
 
-def test_viterbi_relax_substitutes_fixed_penalty():
+def test_viterbi_relax_takes_fewest_vetoed_entries():
+    """Only create -> exist is legal, so every length-3 path has a vetoed
+    entry; those with one tie at score 0, and the lowest label wins."""
     model = _single_track_model()
-    states, score = viterbi(np.zeros((3, PROPARA.size)), model, relax=True)
+    states, score, runner_up = viterbi(np.zeros((3, PROPARA.size)), model, relax=True,
+                                       runner_up=True)
     assert states == ["create", "exist", "create"]
-    assert score == model.start_score("create") + model.transition_score(
-        "create", "exist"
-    ) + RELAX_SCORE
+    assert score == runner_up == model.start_score("create") + model.transition_score(
+        "create", "exist")
+
+
+def test_relax_is_not_outbid_by_a_large_logit():
+    """Only s0 may start and every transition is vetoed: s0 s0 has one
+    vetoed entry, and s1 s0 two, however large its logit."""
+    model = TransitionModel(vocabulary=fuzz_vocabulary(2), start_scores=np.array([0.0, -np.inf]),
+                            trans_scores=np.full((2, 2), -np.inf))
+    assert viterbi(np.array([[0.0, 1e5], [0.0, 0.0]]), model, relax=True) == (["s0", "s0"], 0.0)
 
 
 def test_viterbi_rejects_nonfinite_emissions():
@@ -347,8 +356,8 @@ def test_runner_up_matches_exhaustive_enumeration(n_labels, n_steps, integer, sc
     """viterbi(..., runner_up=True) gives the default decode's labels and
     score plus the second-highest of all L**T path scores, each summed in
     the decoder's order. Integer logits force exact ties, where the
-    runner-up equals the score. A relaxed decode enumerates the relaxed
-    model when the strict one has no path."""
+    runner-up equals the score. When no path is legal, a relaxed decode
+    ranks the paths with the fewest vetoed entries, which add 0."""
     model = TransitionModel(
         vocabulary=fuzz_vocabulary(n_labels),
         start_scores=np.array(data.draw(st.lists(MODEL_SCORES, min_size=n_labels,
@@ -361,28 +370,53 @@ def test_runner_up_matches_exhaustive_enumeration(n_labels, n_steps, integer, sc
                                             max_size=n_steps * n_labels))
                          ).reshape(n_steps, n_labels) * scale
 
-    def enumerate_scores(model):
-        return {path: path_score(path, emissions, model)
-                for path in itertools.product(range(n_labels), repeat=n_steps)}
-
-    scores = enumerate_scores(model)
-    if relax and max(scores.values()) == -np.inf:
-        scores = enumerate_scores(TransitionModel(
-            vocabulary=model.vocabulary,
-            start_scores=np.where(np.isneginf(model.start_scores), RELAX_SCORE,
-                                  model.start_scores),
-            trans_scores=np.where(np.isneginf(model.trans_scores), RELAX_SCORE,
-                                  model.trans_scores)))
-    ranked = sorted(scores.values(), reverse=True) + [-np.inf]
-    if ranked[0] == -np.inf:
+    scores = relaxed_path_scores(emissions, model)
+    vetoes = min(scores.values())[0]
+    if vetoes and not relax:
         with pytest.raises(NoValidPathError):
-            viterbi(emissions, model, relax=relax, runner_up=True)
+            viterbi(emissions, model, runner_up=True)
         return
+    ranked = sorted((score for count, score in scores.values() if count == vetoes),
+                    reverse=True) + [-np.inf]
     states, score, runner_up = viterbi(emissions, model, relax=relax, runner_up=True)
     assert (states, score) == viterbi(emissions, model, relax=relax)
-    assert score == ranked[0] == scores[tuple(map(model.vocabulary.index, states))]
+    assert score == ranked[0]
+    assert scores[tuple(map(model.vocabulary.index, states))] == (vetoes, score)
     assert runner_up == ranked[1]
     assert type(runner_up) is float
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([1.0, 1e5, 1e9]),
+    st.data(),
+)
+def test_relax_takes_fewest_vetoes_then_best_score(n_labels, n_steps, scale, data):
+    """Over all L**T paths of a model that vetoes most entries, the relaxed
+    decode's path has the fewest vetoed entries (as `fewest_vetoes` counts
+    them), its score is the best at that count and the runner-up the second
+    best, however large the logits."""
+    entries = st.sampled_from([-np.inf, -np.inf, -np.inf, -1.0, 0.0, 1.5])
+    model = TransitionModel(
+        vocabulary=fuzz_vocabulary(n_labels),
+        start_scores=np.array(data.draw(st.lists(entries, min_size=n_labels,
+                                                 max_size=n_labels))),
+        trans_scores=np.array(data.draw(st.lists(
+            entries, min_size=n_labels ** 2, max_size=n_labels ** 2))
+        ).reshape(n_labels, n_labels))
+    emissions = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=n_steps * n_labels,
+                                            max_size=n_steps * n_labels))
+                         ).reshape(n_steps, n_labels) * scale
+    scores = relaxed_path_scores(emissions, model)
+    vetoes = min(scores.values())[0]
+    assert fewest_vetoes(model, n_steps) == vetoes
+    ranked = sorted((score for count, score in scores.values() if count == vetoes),
+                    reverse=True) + [-np.inf]
+    states, score, runner_up = viterbi(emissions, model, relax=True, runner_up=True)
+    assert scores[tuple(map(model.vocabulary.index, states))] == (vetoes, score)
+    assert (score, runner_up) == (ranked[0], ranked[1])
 
 
 @settings(max_examples=300, deadline=None)
@@ -418,8 +452,8 @@ def test_rounding_bound_bounds_the_kernels_float_error(n_labels, n_steps, relax,
         states, score = viterbi(weight_emissions(logits, flags, config), model, relax=relax)
     except NoValidPathError:
         return
-    # A relaxed decode adds RELAX_SCORE where a strict one would add -inf.
-    start, trans = (np.where(np.isneginf(scores), RELAX_SCORE, scores)
+    # A relaxed decode adds 0 for a vetoed entry.
+    start, trans = (np.where(np.isneginf(scores), 0.0, scores)
                     for scores in (model.start_scores, model.trans_scores))
     path = [model.vocabulary.index(state) for state in states]
     exact = (Fraction(start[path[0]])
@@ -427,7 +461,7 @@ def test_rounding_bound_bounds_the_kernels_float_error(n_labels, n_steps, relax,
              + sum(Fraction(config.tau_exp if flag else config.tau_imp) * Fraction(row[label])
                    for flag, row, label in zip(flags, logits, path)))
     assert abs(Fraction(score) - exact) <= Fraction(rounding_bound(logits, flags, config,
-                                                                    model, relax))
+                                                                    model))
 
 
 def test_rounding_bound_holds_when_every_addition_rounds_down():

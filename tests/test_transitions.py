@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import MODEL_PROPARA
+from helpers import MODEL_PROPARA, fuzz_vocabulary, relaxed_path_scores
 from proctrack.corpus import (
     PROPARA,
     AnnotationGrid,
@@ -19,6 +19,7 @@ from proctrack.transitions import (
     TransitionModel,
     audit_rare_transitions,
     estimate,
+    fewest_vetoes,
     load_model,
     save_model,
     validate_path_exists,
@@ -95,6 +96,23 @@ def test_path_existence_horizon():
     assert not validate_path_exists(model, 3)
     with pytest.raises(ValidationError):
         validate_path_exists(model, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_a_path_exists_exactly_when_none_needs_a_veto(n_labels, n_steps, data):
+    """fewest_vetoes is the fewest -inf starts and transitions over all
+    L**T paths, and validate_path_exists holds exactly when it is 0."""
+    entries = st.sampled_from([-np.inf, 0.0])
+    model = TransitionModel(
+        vocabulary=fuzz_vocabulary(n_labels),
+        start_scores=data.draw(st.lists(entries, min_size=n_labels, max_size=n_labels)),
+        trans_scores=np.reshape(data.draw(st.lists(
+            entries, min_size=n_labels ** 2, max_size=n_labels ** 2)), (n_labels, n_labels)))
+    scores = relaxed_path_scores(np.zeros((n_steps, n_labels)), model)
+    fewest = min(vetoes for vetoes, _ in scores.values())
+    assert fewest_vetoes(model, n_steps) == fewest
+    assert validate_path_exists(model, n_steps) == (fewest == 0)
 
 
 def test_audit_lists_rare_seen_transitions():
