@@ -21,7 +21,6 @@ from proctrack import (
     estimate,
     get_vocabulary,
     make_corpus,
-    render_report,
     run_pipeline,
     save_corpus,
     save_emissions,
@@ -84,8 +83,7 @@ def main(argv=None) -> int:
 
         outcome = run_pipeline(eval_procs, eval_grids, emissions, model,
                                vocabulary, config, seed=args.seed)
-        write_outputs(outcome, eval_procs, out_dir)
-        print(render_report(outcome), end="")
+        print(write_outputs(outcome, eval_procs, out_dir), end="")
         print(f"wrote corpus, model, emissions, and reports to {out_dir}")
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

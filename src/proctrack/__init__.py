@@ -10,7 +10,7 @@ consistency repair, and document/sentence-level scoring.
 from .corpus import get_vocabulary, load_corpus, load_predictions, save_corpus
 from .decoder import DecodeConfig, detect_mentions, load_emissions, save_emissions
 from .errors import ToolkitError
-from .pipeline import render_report, run_pipeline, write_outputs
+from .pipeline import run_pipeline, write_outputs
 from .synth import OracleConfig, make_corpus, synth_emissions
 from .transitions import estimate, load_model, save_model
 from .tuner import default_grid, tune
@@ -32,7 +32,6 @@ __all__ = [
     "load_model",
     "load_predictions",
     "make_corpus",
-    "render_report",
     "run_pipeline",
     "save_corpus",
     "save_emissions",

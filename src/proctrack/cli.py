@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 
 import numpy as np
@@ -21,11 +20,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DECODE = 3
 EXIT_IO = 4
-
-# The most values `tune --grid` takes per axis (0.01:10:0.01 is exactly
-# 1,000). A tiny step, or a span that overflows a float, is rejected before
-# any of the grid is built.
-GRID_MAX_VALUES = 1000
 
 log = logging.getLogger(__name__)
 
@@ -68,23 +62,6 @@ def _load(args):
     return vocabulary, procedures, grids, model, emissions
 
 
-def _parse_grid(spec: str):
-    try:
-        start, stop, step = (float(x) for x in spec.split(":"))
-    except ValueError:
-        raise ValidationError(
-            f"bad grid spec {spec!r}; expected start:stop:step") from None
-    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
-        raise ValidationError(
-            f"bad grid spec {spec!r}; values must be finite, with step > 0 and stop >= start")
-    span = (stop - start) / step + 1e-9       # keeps a stop that division falls just short of
-    count = math.floor(span) + 1 if math.isfinite(span) else math.inf
-    if count > GRID_MAX_VALUES:
-        raise ValidationError(
-            f"bad grid spec {spec!r}; it has more than {GRID_MAX_VALUES} values")
-    return tuple(round(start + i * step, 10) for i in range(count))
-
-
 def cmd_stats(args) -> int:
     _, procedures, *_ = _load(args)
     stats = corpus.split_stats(procedures)
@@ -117,17 +94,9 @@ def cmd_estimate_transitions(args) -> int:
 
 def cmd_synth(args) -> int:
     vocabulary, procedures, grids, *_ = _load(args)
-    bias = {}
-    for key in ("explicit", "implicit"):
-        value = getattr(args, f"bias_{key}")
-        if value:
-            bias[key] = value
     config = synth.OracleConfig(
-        state_noise=args.state_noise,
-        location_noise=args.location_noise,
-        corruption_bias=bias or None,
-        seed=args.seed,
-    )
+        state_noise=args.state_noise, location_noise=args.location_noise, seed=args.seed,
+        corruption_bias={"explicit": args.bias_explicit, "implicit": args.bias_implicit})
     sets = synth.synth_emissions(procedures, grids, vocabulary, config)
     decoder.save_emissions(sets, args.out)
     total = sum(len(s.tracks) for s in sets.values())
@@ -204,7 +173,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_tune(args) -> int:
     vocabulary, procedures, gold_grids, model, emissions = _load(args)
-    grid = _parse_grid(args.grid) if args.grid else None
+    grid = tuner.parse_grid(args.grid) if args.grid else None
     result = tuner.tune(procedures, gold_grids, emissions, model, vocabulary,
                         grid=grid, relax=args.relax)
     if args.out:
@@ -225,8 +194,7 @@ def cmd_pipeline(args) -> int:
     result = pipeline.run_pipeline(
         procedures, gold_grids, emissions, model, vocabulary, config,
         relax=args.relax, seed=args.seed, per_procedure=args.per_procedure)
-    pipeline.write_outputs(result, procedures, args.out)
-    print(pipeline.render_report(result), end="")
+    print(pipeline.write_outputs(result, procedures, args.out), end="")
     print(f"wrote predictions and reports to {args.out}")
     return EXIT_OK
 
@@ -291,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(sub)
     _add_decode_args(sub, taus=False)
     sub.add_argument("--grid", default=None,
-                     help=f"start:stop:step, at most {GRID_MAX_VALUES} values "
+                     help=f"start:stop:step, at most {tuner.GRID_MAX_VALUES} values "
                           "(default 0.1:1.5:0.1)")
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted and ignored: tune runs in one process")

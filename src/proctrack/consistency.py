@@ -75,7 +75,7 @@ def resolve(states, location_preds, vocabulary: StateVocabulary) -> ResolvedTrac
     for s in states:
         vocabulary.index(s)
 
-    parsed = [parse_prediction(p) if isinstance(p, str) else p for p in location_preds]
+    parsed = [parse_prediction(p) for p in location_preds]
     locations: list[LocationValue] = [None] * len(parsed)
     repairs: list[Repair] = []
 

@@ -422,9 +422,9 @@ def _replacing(path):
 
 
 def write_records(path, records) -> int:
-    """Write each record as one line of UTF-8 JSON; returns how many. This
-    and `write_json` set the format of every output file, and write it
-    whole or not at all."""
+    """Write each record as one line of UTF-8 JSON; returns how many. This,
+    `write_json` and `write_text` write every output file, whole or not at
+    all."""
     count = 0
     with _replacing(path) as handle:
         for record in records:
@@ -438,9 +438,13 @@ def write_json(path, payload) -> str:
     to `path` unless it is None; returns the text."""
     text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     if path is not None:
-        with _replacing(path) as handle:
-            handle.write(text)
+        write_text(path, text)
     return text
+
+
+def write_text(path, text: str) -> None:
+    with _replacing(path) as handle:
+        handle.write(text)
 
 
 def _parse_track(payload, num_steps: int, vocabulary: StateVocabulary) -> Track:

@@ -200,10 +200,10 @@ def _max_plus(rows, start, trans):
     return path, dp[last], sorted(dp + dp2, reverse=True)[1]
 
 
-def rounding_bound(state_logits, flags, config: DecodeConfig, model: TransitionModel) -> float:
+def rounding_bound(state_logits, tau: float, model: TransitionModel) -> float:
     """B: a bound on the rounding error of the float score `viterbi` gives
-    any path of these logits, weighted by taus no larger than config's,
-    against the exact sum of the path's terms.
+    any path of these logits, weighted by taus no larger than `tau`, against
+    the exact sum of the path's terms.
 
     `_max_plus` adds a path's 2T terms in one fixed order (the start score
     and the first weighted logit, then per step a transition score and a
@@ -211,23 +211,19 @@ def rounding_bound(state_logits, flags, config: DecodeConfig, model: TransitionM
     through at most 2T roundings. By Higham's analysis of recursive
     summation, with room to spare,
 
-        B = gamma(2T+2) * (max|start| + (T-1) * max|trans| + sum_t max_l |tau_t * u_tl|)
+        B = gamma(2T+2) * (max|start| + (T-1) * max|trans| + tau * sum_t max_l |u_tl|)
 
     with gamma(n) = n*u / (1 - n*u), u = 2**-53 and the finite model scores
     (a relaxed decode adds 0 for a vetoed one), plus the least subnormal per
     step for a product that underflows. Past 1e300 a partial sum could
     overflow, and B is infinite.
     """
-    logits = np.asarray(state_logits, dtype=float)
-    mentioned = np.asarray(flags, dtype=bool)
-    row_max = np.abs(logits).max(axis=1)
+    row_max = np.abs(np.asarray(state_logits, dtype=float)).max(axis=1)
     # The largest |score| a decode may add at a start or a transition.
     start_max, trans_max = (float(np.abs(scores[np.isfinite(scores)]).max(initial=0.0))
                             for scores in (model.start_scores, model.trans_scores))
-    steps = len(mentioned)
-    mass = (start_max + (steps - 1) * trans_max
-            + config.tau_exp * float(row_max[mentioned].sum())
-            + config.tau_imp * float(row_max[~mentioned].sum()))
+    steps = len(row_max)
+    mass = start_max + (steps - 1) * trans_max + tau * float(row_max.sum())
     if not mass < 1e300:
         return math.inf
     n = (2 * steps + 2) * 2.0 ** -53

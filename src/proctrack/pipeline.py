@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 
 from .consistency import resolve
-from .corpus import AnnotationGrid, StateVocabulary, save_corpus, write_json
+from .corpus import AnnotationGrid, StateVocabulary, save_corpus, write_json, write_text
 from .decoder import (
     DecodeConfig,
     argmax_states,
@@ -288,10 +288,12 @@ def render_report(result: PipelineResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_outputs(result: PipelineResult, procedures, out_dir) -> None:
+def write_outputs(result: PipelineResult, procedures, out_dir) -> str:
+    """Write predictions.jsonl, report.json and report.txt, made before any
+    file is written, to `out_dir`; returns the text of report.txt."""
+    report, text = report_dict(result), render_report(result)
     os.makedirs(out_dir, exist_ok=True)
-    save_corpus(procedures, result.pred_grids,
-                os.path.join(out_dir, "predictions.jsonl"))
-    write_json(os.path.join(out_dir, "report.json"), report_dict(result))
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as handle:
-        handle.write(render_report(result))
+    save_corpus(procedures, result.pred_grids, os.path.join(out_dir, "predictions.jsonl"))
+    write_json(os.path.join(out_dir, "report.json"), report)
+    write_text(os.path.join(out_dir, "report.txt"), text)
+    return text

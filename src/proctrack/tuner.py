@@ -29,30 +29,32 @@ path p, joined by the cells already decoded to p with a margin over 4*B, it
 decodes every unsettled vertex of the group's convex hull. If each vertex
 returns p and its float score beats the runner-up by more than 4*B, every
 cell of the group gets p. B is `decoder.rounding_bound` at the grid's
-largest taus, which bounds the rounding error of any path's float score
+largest tau, which bounds the rounding error of any path's float score
 anywhere in the entity's grid. A margin over 4*B at each vertex leaves an
 exact margin over 2*B at every point of the hull, since the exact margin
 over any other path is affine too, so the winner's float score still beats
 every other path's at each cell inside. Float addition is monotone, so
 Viterbi returns the argmax of the fixed-order float path sums: a filled
 cell gets the path a decode of it returns. Ties and near-ties never fill,
-and a cell on them is decoded. A relaxed decode ranks only the paths with
-the fewest vetoed entries, a count the taus do not change, so every cell
-ranks the same paths, and the argument holds among them. The hull is taken
-at the cells' taus, as exact integers in one power-of-two unit, not at
-their grid indices: on an uneven grid a cell inside the hull of indices can
-lie outside the hull of taus, where another path wins. A group that is not
-filled has a vertex that failed, and only a cell decoded in this round can
-fail, so every round settles at least one cell and the search ends. On
-`propara-tune` at seed 1 it decodes 1,279 times for the 225-cell grid and
-2,412 times for a 3,600-cell one (0.025 to 1.5 in steps of 0.025).
+so a group whose vertices all return its path, but not all by a margin, has
+its other cells decoded in that round, not one hull layer per round. A
+relaxed decode ranks only the paths with the fewest vetoed entries, a count
+the taus do not change, so every cell ranks the same paths, and the
+argument holds among them. The hull is taken at the cells' taus, as exact
+integers in one power-of-two unit, not at their grid indices: on an uneven
+grid a cell inside the hull of indices can lie outside the hull of taus,
+where another path wins. A group that is not filled has a vertex that
+failed, and only a cell decoded in this round can fail, so every round
+settles at least one cell and the search ends.
 When a decode fails, the entity's cells are decoded in grid order instead,
 so the error names the first failing cell as a per-cell loop would.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +68,38 @@ from .pipeline import join
 from .transitions import TransitionModel
 
 
+# A grid spec has at most 1,000 values, and its arithmetic is exact or
+# fails: 1,000 digits hold start + i*step for any three floats.
+GRID_MAX_VALUES = 1000
+_EXACT = decimal.Context(prec=1000, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.Inexact])
+
+
+def parse_grid(spec: str) -> tuple[float, ...]:
+    """The values of a start:stop:step spec (`tune --grid`): start + i*step
+    up to stop, stepped exactly in decimal and then rounded to floats, so
+    0.1:0.36:0.1 ends at 0.3 and 1e-12:5e-12:1e-12 has 5 distinct values."""
+    def bad(reason):
+        return ValidationError(f"bad grid spec {spec!r}; {reason}")
+    try:
+        start, stop, step = (decimal.Decimal(x) for x in spec.split(":"))
+    except (ValueError, decimal.InvalidOperation):
+        raise bad("expected start:stop:step") from None
+    if (not all(x.is_finite() and math.isfinite(float(x)) for x in (start, stop, step))
+            or step <= 0 or stop < start):
+        raise bad("values must be finite, with step > 0 and stop >= start")
+    with decimal.localcontext(_EXACT):
+        try:
+            if stop - start >= GRID_MAX_VALUES * step:
+                raise bad(f"it has more than {GRID_MAX_VALUES} values")
+            return tuple(float(start + i * step) for i in range(int((stop - start) // step) + 1))
+        except decimal.Inexact:
+            raise bad(f"its values need more than {_EXACT.prec} digits") from None
+
+
 def default_grid() -> tuple[float, ...]:
     """0.1 through 1.5 in steps of 0.1 (both weights range over it)."""
-    return tuple(round(0.1 * k, 1) for k in range(1, 16))
+    return parse_grid("0.1:1.5:0.1")
 
 
 @dataclass(frozen=True)
@@ -126,7 +157,7 @@ def _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
     shape = (len(values) if mentioned.any() else 1, len(values) if not mentioned.all() else 1)
     logits = track.state_logits
     # B at the grid's largest taus bounds it at every cell.
-    threshold = 4 * rounding_bound(logits, flags, DecodeConfig(values[-1], values[-1]), model)
+    threshold = 4 * rounding_bound(logits, values[-1], model)
 
     resolved, path_index = [], {}
     terms = []              # per path: its score's (constant, tau_exp, tau_imp) terms
@@ -165,6 +196,9 @@ def _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
                         decode(i, j)
                 if all(at[cell] == path and strong[cell] for cell in vertices):
                     at[group] = path
+                elif all(at[cell] == path for cell in vertices):    # only a margin failed
+                    for i, j in np.argwhere(group & (at < 0)).tolist():
+                        decode(i, j)
     except ToolkitError:
         # Name the first failing cell in grid order, as a per-cell loop would.
         for i, j in itertools.product(range(shape[0]), range(shape[1])):
@@ -218,9 +252,5 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
 
     rows = [(tau_exp, tau_imp, document_report(counts).macro_f1)
             for (tau_exp, tau_imp), counts in zip(cells, totals.tolist())]
-    best = None
-    for row in rows:
-        if best is None or row[2] > best[2]:
-            best = row
-    return TuneResult(tau_exp=best[0], tau_imp=best[1], f1=best[2],
-                      table=tuple(rows))
+    best = max(rows, key=lambda row: row[2])       # the first of equal maxima
+    return TuneResult(*best, table=tuple(rows))

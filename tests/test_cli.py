@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, MODEL_PROPARA
-from proctrack.cli import (EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, GRID_MAX_VALUES,
-                           main)
+from proctrack.cli import EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from proctrack.corpus import PROPARA, VOCABULARIES, load_corpus, load_predictions
 from proctrack.pipeline import score, score_dict
 from proctrack.transitions import load_model, save_model
+from proctrack.tuner import GRID_MAX_VALUES
 
 
 def _corpus_args():
@@ -639,6 +639,34 @@ def test_grid_stops_at_stop(tmp_path, spec, values):
                  "--model", str(MODEL_PROPARA), "--grid", spec, "--out", str(out)]) == EXIT_OK
     table = json.loads(out.read_text())["table"]
     assert sorted({row["tau_exp"] for row in table}) == values
+
+
+def test_tiny_grid_keeps_its_values(tmp_path):
+    """Grid values are stepped in decimal, not rounded to a fixed number of
+    places, so small positive values stay positive and distinct."""
+    out = tmp_path / "tune.json"
+    assert main(["tune", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                 "--model", str(MODEL_PROPARA), "--grid", "1e-12:5e-12:1e-12",
+                 "--out", str(out)]) == EXIT_OK
+    table = json.loads(out.read_text())["table"]
+    assert sorted({row["tau_exp"] for row in table}) == [1e-12, 2e-12, 3e-12, 4e-12, 5e-12]
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("sNaN:1:0.1", "values must be finite"),
+    ("0.1:1e400:1", "values must be finite"),
+    ("0.1:1.5:1e-999999", f"it has more than {GRID_MAX_VALUES} values"),
+    ("1e-2000:1:0.5", "its values need more than 1000 digits"),
+    ("1e-99999999999999999999:1:1", "expected start:stop:step"),
+    ("0.1:1.5", "expected start:stop:step"),
+])
+def test_grid_spec_faults_exit_two(tmp_path, capsys, spec, reason):
+    code = main(["tune", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                 "--model", str(MODEL_PROPARA), f"--grid={spec}",
+                 "--out", str(tmp_path / "tune.json")])
+    assert code == EXIT_VALIDATION
+    assert f"error: bad grid spec {spec!r}; {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "tune.json").exists()
 
 
 @pytest.mark.parametrize("flag", ["--bias-explicit", "--bias-implicit"])

@@ -460,8 +460,8 @@ def test_rounding_bound_bounds_the_kernels_float_error(n_labels, n_steps, relax,
              + sum(Fraction(trans[p, q]) for p, q in zip(path, path[1:]))
              + sum(Fraction(config.tau_exp if flag else config.tau_imp) * Fraction(row[label])
                    for flag, row, label in zip(flags, logits, path)))
-    assert abs(Fraction(score) - exact) <= Fraction(rounding_bound(logits, flags, config,
-                                                                    model))
+    bound = rounding_bound(logits, max(config.tau_exp, config.tau_imp), model)
+    assert abs(Fraction(score) - exact) <= Fraction(bound)
 
 
 def test_rounding_bound_holds_when_every_addition_rounds_down():
@@ -483,7 +483,7 @@ def test_rounding_bound_holds_when_every_addition_rounds_down():
     error = exact - Fraction(score)
     n = Fraction(2, 2 ** 53)
     assert n / (1 - n) * exact < error          # past gamma(2) * the terms' sum
-    assert error <= Fraction(rounding_bound(logits, flags, config, model))
+    assert error <= Fraction(rounding_bound(logits, 1.0, model))
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, GOLDEN_DIR, MODEL_PROPARA
+from proctrack import pipeline
 from proctrack.cli import EXIT_OK, main
 from proctrack.corpus import (
     PROPARA,
@@ -104,6 +107,23 @@ def test_outputs_match_checked_in_golden_run(tmp_path):
         assert (tmp_path / filename).read_bytes() == (
             GOLDEN_DIR / filename
         ).read_bytes(), filename
+
+
+def test_failed_render_leaves_report_txt_untouched(tmp_path, monkeypatch):
+    """Every report is made before any file is written, and report.txt is
+    replaced whole: a render that raises leaves the old file's bytes."""
+    procedures, grids, model, emissions = _fixture_inputs()
+    result = run_pipeline(procedures, grids, emissions, model, PROPARA)
+    write_outputs(result, procedures, tmp_path)
+    before = (tmp_path / "report.txt").read_bytes()
+
+    def broken(result):
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(pipeline, "render_report", broken)
+    with pytest.raises(RuntimeError, match="render failed"):
+        write_outputs(result, procedures, tmp_path)
+    assert (tmp_path / "report.txt").read_bytes() == before
 
 
 def test_written_predictions_reload_cleanly(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,16 +11,16 @@ from hypothesis import given, settings, strategies as st
 from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, MODEL_PROPARA, reference_tune
 
 from proctrack import tuner
-from proctrack.corpus import PROPARA
+from proctrack.corpus import PROPARA, RECIPES
 from proctrack.consistency import resolve
 from proctrack.corpus import AnnotationGrid, Entity, Procedure, load_corpus
-from proctrack.decoder import (DecodeConfig, EmissionTrack, decode_entity, load_emissions,
-                               viterbi, weight_emissions)
+from proctrack.decoder import (DecodeConfig, EmissionSet, EmissionTrack, decode_entity,
+                               load_emissions, viterbi, weight_emissions)
 from proctrack.errors import NoValidPathError, ValidationError
 from proctrack.evaluator import eval_document_level
 from proctrack.synth import OracleConfig, make_corpus, synth_emissions
 from proctrack.transitions import TransitionModel, estimate, load_model
-from proctrack.tuner import TuneResult, _entity_paths, default_grid, tune
+from proctrack.tuner import TuneResult, _entity_paths, default_grid, parse_grid, tune
 
 
 def _setup(n=12, noise=0.2, seed=4):
@@ -54,6 +55,31 @@ def test_default_grid_shape():
     assert grid[0] == 0.1
     assert grid[-1] == 1.5
     assert 0.6 in grid and 0.7 in grid and 1.0 in grid
+
+
+def _decimal(units, places):
+    """`units` * 10**-15 written with `places` decimals (it must fit)."""
+    whole, fraction = divmod(units // 10 ** (15 - places), 10 ** places)
+    return f"{whole}.{fraction:0{places}d}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(start_places=st.integers(1, 15), step_places=st.integers(1, 15),
+       start=st.integers(0, 10 ** 16), step=st.integers(1, 10 ** 16),
+       steps=st.integers(0, 49), data=st.data())
+def test_parse_grid_steps_exactly_then_rounds_to_floats(start_places, step_places, start,
+                                                        step, steps, data):
+    """A grid's values are the exact decimals start + i*step up to stop, each
+    rounded to the nearest float once; start and step have up to 15 decimal
+    places, stop is any decimal short of the next step."""
+    start -= start % 10 ** (15 - start_places)
+    step -= step % 10 ** (15 - step_places)
+    if step == 0:
+        step = 10 ** (15 - step_places)
+    stop = start + steps * step + data.draw(st.integers(0, step - 1), label="past the last")
+    spec = f"{_decimal(start, start_places)}:{_decimal(stop, 15)}:{_decimal(step, step_places)}"
+    unit = Fraction(1, 10 ** 15)
+    assert parse_grid(spec) == tuple(float((start + i * step) * unit) for i in range(steps + 1))
 
 
 def test_singleton_grid_reports_that_cell():
@@ -277,6 +303,30 @@ def test_entity_with_one_path_is_decoded_at_its_corners_only(monkeypatch, size, 
                                      model, PROPARA, False)
     assert len(calls) == corners
     assert len(resolved) == 1 and column == [0] * size ** 2
+
+
+def test_an_exact_tie_is_decoded_in_one_round(monkeypatch):
+    """Every path ties at every cell: equal model scores and zero logits, so
+    no decode has a margin and no group can be filled. The round that finds
+    this decodes the group's cells, instead of peeling one hull layer per
+    round (49 hulls for this grid)."""
+    model = TransitionModel(vocabulary=RECIPES, start_scores=np.zeros(RECIPES.size),
+                            trans_scores=np.zeros((RECIPES.size,) * 2))
+    procedure = _procedure_mentioning((True, False, True, False))
+    track = EmissionTrack(np.zeros((4, RECIPES.size)), ("?",) * 5)
+    gold = {"p": AnnotationGrid("p", {"e": resolve(["exist"] * 4, ["?"] * 5, RECIPES).track()})}
+    emissions = {"p": EmissionSet("p", {"e": track})}
+    hull, hulls = tuner._hull, []
+
+    def counted(*args):
+        hulls.append(None)
+        return hull(*args)
+
+    monkeypatch.setattr(tuner, "_hull", counted)
+    grid = [k / 10 for k in range(1, 31)]
+    result = tune([procedure], gold, emissions, model, RECIPES, grid=grid)
+    assert len(hulls) <= 2
+    assert result == reference_tune([procedure], gold, emissions, model, RECIPES, grid=grid)
 
 
 def test_decodes_grow_slower_than_the_grid(monkeypatch):
