@@ -111,7 +111,7 @@ def cmd_decode(args) -> int:
         {"procedure_id": procedure.id, "entity_id": entity_id, "states": states,
          "score": score}
         for procedure in procedures if procedure.id in emissions
-        for entity_id, states, score, _, _ in pipeline.decode_unit(
+        for entity_id, states, score, _ in pipeline.decode_unit(
             procedure, emissions[procedure.id].tracks.items(), model, config,
             relax=args.relax)))
     print(f"decoded {count} entities to {args.out}")

@@ -29,9 +29,9 @@ class DecodeConfig:
     tau_imp: float = 0.7
 
     def __post_init__(self):
-        if not (self.tau_exp > 0 and self.tau_imp > 0):
-            raise ValidationError(
-                f"tau values must be positive, got ({self.tau_exp}, {self.tau_imp})")
+        if not (0 < self.tau_exp < math.inf and 0 < self.tau_imp < math.inf):
+            raise ValidationError(f"tau values must be finite and positive, "
+                                  f"got ({self.tau_exp}, {self.tau_imp})")
 
 
 @dataclass

@@ -1,16 +1,17 @@
 """End-to-end run: decode every entity, repair locations, score, report.
 
 Entities with no emissions never abort a run: they are logged, scored as
-empty tracks, and surfaced in the report's coverage block. The report is
-written both as JSON and as a plain-text table; neither embeds paths or
-timestamps, so identical inputs produce byte-identical outputs.
+empty tracks, and surfaced in the report's coverage block. report.json
+holds the report's payload and report.txt is rendered from that payload, so
+the two carry the same numbers; neither embeds paths or timestamps, so
+identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .consistency import resolve
 from .corpus import AnnotationGrid, StateVocabulary, save_corpus, write_json, write_text
@@ -89,8 +90,8 @@ def join(procedures, gold_grids, emissions):
 def decode_unit(procedure, tracks, model: TransitionModel, config: DecodeConfig,
                 relax: bool = False):
     """Decode one procedure's (entity_id, track) pairs. Returns one
-    (entity_id, states, path score, argmax states, mention flags) row per
-    track; an error while weighting or decoding names the entity."""
+    (entity_id, states, path score, mention flags) row per track; an error
+    while weighting or decoding names the entity."""
     out = []
     for entity_id, track in tracks:
         flags = detect_mentions(procedure, procedure.entity(entity_id))
@@ -100,8 +101,7 @@ def decode_unit(procedure, tracks, model: TransitionModel, config: DecodeConfig,
         except ToolkitError as exc:
             raise type(exc)(
                 f"procedure {procedure.id!r}, entity {entity_id!r}: {exc}") from exc
-        raw = argmax_states(track.state_logits, model.vocabulary)
-        out.append((entity_id, states, path_score, raw, flags))
+        out.append((entity_id, states, path_score, flags))
     return out
 
 
@@ -142,13 +142,14 @@ def run_pipeline(procedures, gold_grids, emissions, model: TransitionModel,
         rows = decode_unit(procedure, tracks, model, config, relax)
         proc_id = procedure.id
         grid = pred_grids[proc_id] = AnnotationGrid(proc_id, {})
-        for (_, track), (entity_id, states, _score, raw, flags) in zip(tracks, rows):
+        for (_, track), (entity_id, states, _score, flags) in zip(tracks, rows):
             resolved = resolve(states, track.location_preds, vocabulary)
             for repair in resolved.repairs:
                 repair_counts[repair.rule] = repair_counts.get(repair.rule, 0) + 1
             grid.entries[entity_id] = resolved.track()
             decoded_states[proc_id, entity_id] = states
-            raw_states[proc_id, entity_id] = raw
+            raw_states[proc_id, entity_id] = argmax_states(track.state_logits,
+                                                           model.vocabulary)
             flags_map[proc_id, entity_id] = flags
 
     scores = score(gold_grids, pred_grids, vocabulary, per_procedure)
@@ -166,69 +167,41 @@ def run_pipeline(procedures, gold_grids, emissions, model: TransitionModel,
     )
 
 
-def question_dict(score: QuestionScore) -> dict:
-    return {
-        "precision": score.precision,
-        "recall": score.recall,
-        "f1": score.f1,
-        "pred": score.n_pred,
-        "gold": score.n_gold,
-        "correct": score.n_correct,
-    }
-
-
-def document_dict(document) -> dict:
-    payload = {name: question_dict(score)
-               for name, score in document.questions().items()}
-    payload["macro"] = {
-        "precision": document.macro_precision,
-        "recall": document.macro_recall,
-        "f1": document.macro_f1,
-    }
-    return payload
-
-
-def split_dict(split: SplitReport) -> dict:
-    def bucket(b):
-        return {"accuracy": b.accuracy, "correct": b.n_correct, "steps": b.n_steps}
-    return {"explicit": bucket(split.explicit), "implicit": bucket(split.implicit)}
+def to_payload(score):
+    """Any evaluator score, or other dataclass, as its report.json block, with
+    fields in declaration order and a count n_x named x. A document's macro_x
+    fields fold into one "macro" block, which is trailing since they are
+    declared last. A value that is not a dataclass, None included, is
+    returned as it is."""
+    if not is_dataclass(score):
+        return score
+    block = {}
+    for f in fields(score):
+        value = to_payload(getattr(score, f.name))
+        if f.name.startswith("macro_"):
+            block.setdefault("macro", {})[f.name.removeprefix("macro_")] = value
+        else:
+            block[f.name.removeprefix("n_")] = value
+    return block
 
 
 def score_dict(scores: Scores) -> dict:
     """The score blocks of report.json, which `evaluate` prints as they are."""
-    def category(cat):
-        return {"score": cat.score, "correct": cat.n_correct, "scored": cat.n_scored}
-
-    sentence = scores.sentence
     payload = {
-        "document_level": document_dict(scores.document),
-        "sentence_level": {
-            "cat1": category(sentence.cat1),
-            "cat2": category(sentence.cat2),
-            "cat3": category(sentence.cat3),
-            "macro": sentence.macro,
-            "micro": sentence.micro,
-        },
-        "recipes_location_changes": (
-            question_dict(scores.recipes_location)
-            if scores.recipes_location is not None else None),
+        "document_level": to_payload(scores.document),
+        "sentence_level": to_payload(scores.sentence),
+        "recipes_location_changes": to_payload(scores.recipes_location),
     }
     if scores.per_procedure is not None:
-        payload["per_procedure"] = {
-            proc_id: document_dict(doc)
-            for proc_id, doc in scores.per_procedure.items()
-        }
+        payload["per_procedure"] = {proc_id: to_payload(doc)
+                                    for proc_id, doc in scores.per_procedure.items()}
     return payload
 
 
 def report_dict(result: PipelineResult) -> dict:
     payload = {
-        "config": {
-            "vocabulary": result.vocabulary.name,
-            "tau_exp": result.config.tau_exp,
-            "tau_imp": result.config.tau_imp,
-            "seed": result.seed,
-        },
+        "config": {"vocabulary": result.vocabulary.name, **to_payload(result.config),
+                   "seed": result.seed},
         "coverage": {
             "decoded_entities": len(result.decoded_states),
             "missing_emissions": len(result.missing),
@@ -236,8 +209,8 @@ def report_dict(result: PipelineResult) -> dict:
         "consistency_repairs": result.repair_counts,
         **score_dict(result),
         "split_accuracy": {
-            "argmax": split_dict(result.split_argmax),
-            "decoded": split_dict(result.split_decoded),
+            "argmax": to_payload(result.split_argmax),
+            "decoded": to_payload(result.split_decoded),
         },
     }
     if result.per_procedure is not None:
@@ -246,52 +219,46 @@ def report_dict(result: PipelineResult) -> dict:
     return payload
 
 
-def render_report(result: PipelineResult) -> str:
-    lines = []
-    doc = result.document
-
+def render_report(report: dict) -> str:
+    """report.txt, rendered from the payload `report_dict` built, so that
+    every number in it is the one in report.json."""
     def fmt(x):
         return "  none" if x is None else f"{x:.4f}"
 
-    lines.append("document-level")
-    lines.append(f"  {'question':<12} {'P':>8} {'R':>8} {'F1':>8} "
-                 f"{'pred':>6} {'gold':>6} {'hit':>6}")
-    for name, score in doc.questions().items():
-        lines.append(
-            f"  {name:<12} {score.precision:>8.4f} {score.recall:>8.4f} "
-            f"{score.f1:>8.4f} {score.n_pred:>6d} {score.n_gold:>6d} "
-            f"{score.n_correct:>6d}")
-    lines.append(f"  {'macro':<12} {doc.macro_precision:>8.4f} "
-                 f"{doc.macro_recall:>8.4f} {doc.macro_f1:>8.4f}")
-    sent = result.sentence
+    def prf(name, s):
+        row = f"  {name:<12} {s['precision']:>8.4f} {s['recall']:>8.4f} {s['f1']:>8.4f}"
+        if "pred" in s:
+            row += f" {s['pred']:>6d} {s['gold']:>6d} {s['correct']:>6d}"
+        return row
+
+    lines = ["document-level",
+             f"  {'question':<12} {'P':>8} {'R':>8} {'F1':>8} "
+             f"{'pred':>6} {'gold':>6} {'hit':>6}"]
+    lines += [prf(name, s) for name, s in report["document_level"].items()]
     lines.append("sentence-level")
-    for name, cat in (("cat1", sent.cat1), ("cat2", sent.cat2), ("cat3", sent.cat3)):
-        lines.append(f"  {name:<12} {cat.score:>8.4f} "
-                     f"({cat.n_correct}/{cat.n_scored})")
-    lines.append(f"  {'macro':<12} {sent.macro:>8.4f}")
-    lines.append(f"  {'micro':<12} {sent.micro:>8.4f}")
-    if result.recipes_location is not None:
-        s = result.recipes_location
-        lines.append("location-changes")
-        lines.append(f"  {'changes':<12} {s.precision:>8.4f} {s.recall:>8.4f} "
-                     f"{s.f1:>8.4f} {s.n_pred:>6d} {s.n_gold:>6d} {s.n_correct:>6d}")
+    for name, cat in report["sentence_level"].items():
+        if isinstance(cat, dict):
+            lines.append(f"  {name:<12} {cat['score']:>8.4f} "
+                         f"({cat['correct']}/{cat['scored']})")
+        else:
+            lines.append(f"  {name:<12} {cat:>8.4f}")
+    if report["recipes_location_changes"] is not None:
+        lines += ["location-changes", prf("changes", report["recipes_location_changes"])]
     lines.append("split-accuracy")
-    for name, split in (("argmax", result.split_argmax),
-                        ("decoded", result.split_decoded)):
-        lines.append(
-            f"  {name:<12} explicit {fmt(split.explicit.accuracy)} "
-            f"({split.explicit.n_correct}/{split.explicit.n_steps})  "
-            f"implicit {fmt(split.implicit.accuracy)} "
-            f"({split.implicit.n_correct}/{split.implicit.n_steps})")
-    lines.append(f"repairs {sum(result.repair_counts.values())} "
-                 f"missing-emissions {len(result.missing)}")
+    for name, split in report["split_accuracy"].items():
+        lines.append(f"  {name:<12} " + "  ".join(
+            f"{bucket} {fmt(b['accuracy'])} ({b['correct']}/{b['steps']})"
+            for bucket, b in split.items()))
+    lines.append(f"repairs {sum(report['consistency_repairs'].values())} "
+                 f"missing-emissions {report['coverage']['missing_emissions']}")
     return "\n".join(lines) + "\n"
 
 
 def write_outputs(result: PipelineResult, procedures, out_dir) -> str:
     """Write predictions.jsonl, report.json and report.txt, made before any
     file is written, to `out_dir`; returns the text of report.txt."""
-    report, text = report_dict(result), render_report(result)
+    report = report_dict(result)
+    text = render_report(report)
     os.makedirs(out_dir, exist_ok=True)
     save_corpus(procedures, result.pred_grids, os.path.join(out_dir, "predictions.jsonl"))
     write_json(os.path.join(out_dir, "report.json"), report)

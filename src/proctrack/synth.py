@@ -55,6 +55,12 @@ _FILLERS = {
 }
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's generator rejects a negative seed with a bare ValueError.
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Noise model for fabricated emissions.
@@ -72,6 +78,7 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         for name, rate in (("state_noise", self.state_noise),
                            ("location_noise", self.location_noise)):
             if not 0.0 <= rate < 1.0:
@@ -347,6 +354,7 @@ def make_corpus(n_procedures: int, vocabulary: StateVocabulary, seed: int):
             f"no generator recipe for vocabulary {vocabulary.name!r}")
     if n_procedures < 1:
         raise ValidationError("n_procedures must be >= 1")
+    _check_seed(seed)
     flavor = vocabulary.name
     rng = np.random.default_rng(seed)
     sample_track = _propara_track if flavor == "propara" else _recipes_track

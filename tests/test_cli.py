@@ -678,6 +678,22 @@ def test_nan_bias_exits_two_naming_the_key(tmp_path, capsys, flag):
     assert not (tmp_path / "e.jsonl").exists()
 
 
+def test_negative_synth_seed_exits_two(tmp_path, capsys):
+    code = main(["synth", *_corpus_args(), "--seed", "-1", "--out", str(tmp_path / "e.jsonl")])
+    assert code == EXIT_VALIDATION
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "e.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag", ["--tau-exp", "--tau-imp"])
+def test_infinite_tau_exits_two_naming_the_taus(tmp_path, capsys, flag):
+    code = main(["pipeline", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
+                 "--model", str(MODEL_PROPARA), flag, "inf", "--out", str(tmp_path / "run")])
+    assert code == EXIT_VALIDATION
+    assert "error: tau values must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_validation_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "p0"}\n')

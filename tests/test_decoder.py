@@ -1,5 +1,6 @@
 """Mention detection, emission weighting, and constrained decoding."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +162,9 @@ def test_config_requires_positive_taus():
         DecodeConfig(tau_exp=0.0, tau_imp=0.7)
     with pytest.raises(ValidationError):
         DecodeConfig(tau_exp=0.6, tau_imp=-0.1)
+    for taus in ((math.inf, 0.7), (0.6, math.inf), (math.nan, 0.7)):
+        with pytest.raises(ValidationError, match="tau values must be finite and positive"):
+            DecodeConfig(*taus)
 
 
 def test_viterbi_single_step():

@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, GOLDEN_DIR, MODEL_PROPARA
+from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, FIXTURES, GOLDEN_DIR, MODEL_PROPARA
 from proctrack import pipeline
 from proctrack.cli import EXIT_OK, main
 from proctrack.corpus import (
     PROPARA,
     RECIPES,
+    get_vocabulary,
     grid_violations,
     load_corpus,
     load_predictions,
@@ -20,10 +21,11 @@ from proctrack.synth import OracleConfig, make_corpus, synth_emissions
 from proctrack.transitions import estimate, load_model
 
 
-def _fixture_inputs():
-    procedures, grids = load_corpus(CORPUS_PROPARA, PROPARA)
-    model = load_model(MODEL_PROPARA)
-    emissions = load_emissions(EMISSIONS_PROPARA, procedures, PROPARA)
+def _fixture_inputs(vocab="propara"):
+    vocabulary = get_vocabulary(vocab)
+    procedures, grids = load_corpus(FIXTURES / f"corpus_{vocab}.jsonl", vocabulary)
+    model = load_model(FIXTURES / f"model_{vocab}.json")
+    emissions = load_emissions(FIXTURES / f"emissions_{vocab}.jsonl", procedures, vocabulary)
     return procedures, grids, model, emissions
 
 
@@ -96,16 +98,27 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         ).read_bytes()
 
 
-def test_outputs_match_checked_in_golden_run(tmp_path):
-    procedures, grids, model, emissions = _fixture_inputs()
+GOLDEN_RUNS = {
+    "propara": (GOLDEN_DIR, {}),
+    # `pipeline --relax --per-procedure --seed 0` on the recipes fixtures: it
+    # covers report.txt's location-changes block and per_procedure staying
+    # the last block of report.json.
+    "recipes": (FIXTURES / "golden_recipes", {"relax": True, "per_procedure": True}),
+}
+
+
+@pytest.mark.parametrize("vocab", GOLDEN_RUNS)
+def test_outputs_match_checked_in_golden_run(tmp_path, vocab):
+    golden_dir, options = GOLDEN_RUNS[vocab]
+    procedures, grids, model, emissions = _fixture_inputs(vocab)
     result = run_pipeline(
-        procedures, grids, emissions, model, PROPARA,
-        DecodeConfig(0.6, 0.7), seed=0,
+        procedures, grids, emissions, model, get_vocabulary(vocab),
+        DecodeConfig(0.6, 0.7), seed=0, **options,
     )
     write_outputs(result, procedures, tmp_path)
     for filename in ("predictions.jsonl", "report.json", "report.txt"):
         assert (tmp_path / filename).read_bytes() == (
-            GOLDEN_DIR / filename
+            golden_dir / filename
         ).read_bytes(), filename
 
 
@@ -117,7 +130,7 @@ def test_failed_render_leaves_report_txt_untouched(tmp_path, monkeypatch):
     write_outputs(result, procedures, tmp_path)
     before = (tmp_path / "report.txt").read_bytes()
 
-    def broken(result):
+    def broken(report):
         raise RuntimeError("render failed")
 
     monkeypatch.setattr(pipeline, "render_report", broken)

@@ -24,6 +24,11 @@ def test_make_corpus_is_deterministic():
     assert c_procs != a_procs
 
 
+def test_make_corpus_rejects_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        make_corpus(6, PROPARA, seed=-1)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_generated_gold_is_always_consistent(seed):
@@ -85,6 +90,8 @@ def test_oracle_config_validates_rates():
         OracleConfig(corruption_bias={"implicit": -0.2})
     with pytest.raises(ValidationError):
         OracleConfig(state_noise=0.8, corruption_bias={"implicit": 0.3})
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        OracleConfig(seed=-1)
 
 
 def test_effective_noise_composes_bias_terms():
