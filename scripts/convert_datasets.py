@@ -28,6 +28,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from proctrack import cli
 from proctrack.corpus import (
     AnnotationGrid,
     Entity,
@@ -139,6 +140,29 @@ def convert_file(in_path: Path, out_path: Path) -> tuple[int, object]:
     return len(procedures), split_stats(procedures)
 
 
+def convert(args) -> int:
+    """Convert each split named by --splits; every split name and input file
+    is checked before --out-dir is made."""
+    splits = [s.strip() for s in args.splits.split(",") if s.strip()]
+    for split in splits:
+        if split not in SPLITS:
+            raise ValidationError(f"unknown split {split!r}")
+    inputs = {split: Path(args.data_dir) / GRID_FILE.format(split=split) for split in splits}
+    for in_path in inputs.values():
+        if not in_path.exists():
+            raise ValidationError(f"{in_path} not found")
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = {}
+    for split, in_path in inputs.items():
+        out_path = out_dir / f"propara.{split}.jsonl"
+        count, rows[split] = convert_file(in_path, out_path)
+        print(f"wrote {count} procedures to {out_path}")
+    print(format_stats_table(rows))
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="convert the public ProPara grid files into corpus files")
@@ -148,33 +172,7 @@ def main(argv=None) -> int:
                         help="directory for propara.{train,dev,test}.jsonl")
     parser.add_argument("--splits", default=",".join(SPLITS),
                         help="comma-separated subset of train,dev,test")
-    args = parser.parse_args(argv)
-
-    data_dir = Path(args.data_dir)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    splits = [s.strip() for s in args.splits.split(",") if s.strip()]
-    for split in splits:
-        if split not in SPLITS:
-            print(f"error: unknown split {split!r}", file=sys.stderr)
-            return 2
-
-    rows = {}
-    try:
-        for split in splits:
-            in_path = data_dir / GRID_FILE.format(split=split)
-            if not in_path.exists():
-                print(f"error: {in_path} not found", file=sys.stderr)
-                return 2
-            out_path = out_dir / f"propara.{split}.jsonl"
-            count, stats = convert_file(in_path, out_path)
-            rows[split] = stats
-            print(f"wrote {count} procedures to {out_path}")
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_stats_table(rows))
-    return 0
+    return cli.run(convert, parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -1,35 +1,64 @@
 #!/usr/bin/env python3
 """Generate a synthetic benchmark, run the pipeline on it, and report.
 
-Builds a train and an eval corpus with known gold, estimates the
-transition model from the train half, fabricates noisy emissions for the
-eval half, then decodes, repairs, and scores. With --tune the emission
-weights are grid-searched first and the best cell is used for the final
-run. All files land in --out-dir, so the run can be replayed with the
-command-line tools afterwards.
+Builds a train and an eval corpus with known gold, then runs the
+command-line tools on them: `estimate-transitions` on the train half,
+`synth` for noisy emissions on the eval half, `tune` (with --tune, writing
+tune.json) and `pipeline`, which decodes, repairs, and scores with the
+tuned weights or the given ones. Every flag is checked before anything is
+written, and the run exits with the command-line tools' exit codes. All
+files land in --out-dir, so each step can be replayed with the same
+commands.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-from proctrack import (
-    DecodeConfig,
-    OracleConfig,
-    estimate,
-    get_vocabulary,
-    make_corpus,
-    run_pipeline,
-    save_corpus,
-    save_emissions,
-    save_model,
-    synth_emissions,
-    tune,
-    write_outputs,
-)
-from proctrack.errors import ToolkitError
+from proctrack import OracleConfig, cli, get_vocabulary, make_corpus, save_corpus
+from proctrack.decoder import DecodeConfig
+
+
+def benchmark(args) -> int:
+    out_dir = Path(args.out_dir)
+    vocabulary = get_vocabulary(args.vocab)
+    # Every flag goes through the check of the code that takes it before the
+    # first write, so a bad flag leaves --out-dir as it was.
+    corpora = {"train": make_corpus(args.train_procedures, vocabulary, seed=args.seed),
+               "eval": make_corpus(args.eval_procedures, vocabulary, seed=args.seed + 1)}
+    OracleConfig(state_noise=args.state_noise, location_noise=args.location_noise,
+                 corruption_bias={"implicit": args.bias_implicit}, seed=args.seed + 2)
+    DecodeConfig(tau_exp=args.tau_exp, tau_imp=args.tau_imp)
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (procedures, grids) in corpora.items():
+        save_corpus(procedures, grids, out_dir / f"{name}.jsonl")
+
+    def command(name, split, *flags):
+        return [name, "--corpus", str(out_dir / f"{split}.jsonl"), "--vocab", args.vocab,
+                *map(str, flags)]
+
+    inputs = ("--model", out_dir / "model.json", "--emissions", out_dir / "emissions.jsonl")
+    steps = [
+        command("estimate-transitions", "train", "--out", out_dir / "model.json"),
+        command("synth", "eval", "--state-noise", args.state_noise,
+                "--location-noise", args.location_noise,
+                "--bias-implicit", args.bias_implicit, "--seed", args.seed + 2,
+                "--out", out_dir / "emissions.jsonl"),
+    ]
+    if args.tune:
+        steps.append(command("tune", "eval", *inputs, "--out", out_dir / "tune.json"))
+    for argv in steps:
+        if code := cli.main(argv):
+            return code
+    taus = (json.loads((out_dir / "tune.json").read_text())["best"] if args.tune
+            else {"tau_exp": args.tau_exp, "tau_imp": args.tau_imp})
+    return cli.main(command("pipeline", "eval", *inputs, "--tau-exp", taus["tau_exp"],
+                            "--tau-imp", taus["tau_imp"], "--seed", args.seed,
+                            "--out", out_dir))
 
 
 def main(argv=None) -> int:
@@ -50,45 +79,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tune", action="store_true",
                         help="grid-search the weights before the final run")
     parser.add_argument("--out-dir", required=True)
-    args = parser.parse_args(argv)
-
-    vocabulary = get_vocabulary(args.vocab)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    try:
-        train_procs, train_grids = make_corpus(
-            args.train_procedures, vocabulary, seed=args.seed)
-        eval_procs, eval_grids = make_corpus(
-            args.eval_procedures, vocabulary, seed=args.seed + 1)
-        save_corpus(train_procs, train_grids, out_dir / "train.jsonl")
-        save_corpus(eval_procs, eval_grids, out_dir / "eval.jsonl")
-
-        model = estimate(train_grids.values(), vocabulary)
-        save_model(model, out_dir / "model.json")
-
-        bias = {"implicit": args.bias_implicit} if args.bias_implicit else None
-        oracle = OracleConfig(state_noise=args.state_noise,
-                              location_noise=args.location_noise,
-                              corruption_bias=bias, seed=args.seed + 2)
-        emissions = synth_emissions(eval_procs, eval_grids, vocabulary, oracle)
-        save_emissions(emissions, out_dir / "emissions.jsonl")
-
-        config = DecodeConfig(tau_exp=args.tau_exp, tau_imp=args.tau_imp)
-        if args.tune:
-            result = tune(eval_procs, eval_grids, emissions, model, vocabulary)
-            print(f"tuned weights: tau_exp={result.tau_exp} "
-                  f"tau_imp={result.tau_imp} macro_f1={result.f1:.4f}")
-            config = DecodeConfig(tau_exp=result.tau_exp, tau_imp=result.tau_imp)
-
-        outcome = run_pipeline(eval_procs, eval_grids, emissions, model,
-                               vocabulary, config, seed=args.seed)
-        print(write_outputs(outcome, eval_procs, out_dir), end="")
-        print(f"wrote corpus, model, emissions, and reports to {out_dir}")
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return cli.run(benchmark, parser.parse_args(argv))
 
 
 if __name__ == "__main__":

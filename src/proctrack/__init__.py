@@ -8,19 +8,17 @@ consistency repair, and document/sentence-level scoring.
 """
 
 from .corpus import get_vocabulary, load_corpus, load_predictions, save_corpus
-from .decoder import DecodeConfig, detect_mentions, load_emissions, save_emissions
+from .decoder import detect_mentions, load_emissions, save_emissions
 from .errors import ToolkitError
-from .pipeline import run_pipeline, write_outputs
 from .synth import OracleConfig, make_corpus, synth_emissions
 from .transitions import estimate, load_model, save_model
-from .tuner import default_grid, tune
+from .tuner import default_grid
 
 __version__ = "0.1.0"
 
 # The names the scripts and the benchmark take from the package root; the
 # rest of the API is imported from its module.
 __all__ = [
-    "DecodeConfig",
     "OracleConfig",
     "ToolkitError",
     "default_grid",
@@ -32,11 +30,8 @@ __all__ = [
     "load_model",
     "load_predictions",
     "make_corpus",
-    "run_pipeline",
     "save_corpus",
     "save_emissions",
     "save_model",
     "synth_emissions",
-    "tune",
-    "write_outputs",
 ]

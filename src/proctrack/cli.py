@@ -81,9 +81,11 @@ def cmd_format_qa(args) -> int:
 def cmd_estimate_transitions(args) -> int:
     vocabulary, procedures, grids, *_ = _load(args)
     model = transitions.estimate(grids.values(), vocabulary)
+    # The audit checks --min-count, so it runs before the model is written.
+    rare = None if args.min_count is None else transitions.audit_rare_transitions(
+        model, args.min_count)
     transitions.save_model(model, args.out)
-    if args.min_count is not None:
-        rare = transitions.audit_rare_transitions(model, args.min_count)
+    if rare is not None:
         for p, q, count in rare:
             print(f"rare transition {p} -> {q}: seen {count} time(s)")
         if not rare:
@@ -280,15 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(func, *args) -> int:
+    """Call func(*args) and map a toolkit or I/O failure to its exit code and
+    an `error:` line on stderr, never a traceback. Every entry point (this
+    module's commands and the scripts) returns through here."""
     try:
         # Once per command, not per call: an overflowed weighted logit is
         # reported as a ValidationError, not as a numpy warning.
         with np.errstate(over="ignore"):
-            return args.func(args)
+            return func(*args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -298,6 +300,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+def main(argv=None) -> int:
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
+    args = build_parser().parse_args(argv)
+    return run(args.func, args)
 
 
 if __name__ == "__main__":

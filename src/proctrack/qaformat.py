@@ -111,6 +111,8 @@ def iter_instances(procedures, grids, vocabulary: StateVocabulary, kinds=KINDS):
     are filled from gold grids where available and left empty otherwise.
     """
     kinds = tuple(kinds)
+    if not kinds:
+        raise ValidationError(f"no instance kinds given; choose from {KINDS}")
     for kind in kinds:
         if kind not in KINDS:
             raise ValidationError(f"unknown instance kind {kind!r}")

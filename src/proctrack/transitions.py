@@ -132,6 +132,8 @@ def audit_rare_transitions(model: TransitionModel, min_count: int):
 
     Purely informational; scores are never altered.
     """
+    if min_count < 1:
+        raise ValidationError(f"min_count must be >= 1, got {min_count}")
     labels = model.vocabulary.labels
     rare = []
     for i, p in enumerate(labels):

@@ -250,7 +250,10 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
             index.append(scored[combination])
         totals += np.array(counts)[index]
 
-    rows = [(tau_exp, tau_imp, document_report(counts).macro_f1)
-            for (tau_exp, tau_imp), counts in zip(cells, totals.tolist())]
+    # Cells often share one count row; score each distinct row once.
+    distinct, row_of = np.unique(totals, axis=0, return_inverse=True)
+    f1s = [document_report(counts).macro_f1 for counts in distinct.tolist()]
+    rows = [(tau_exp, tau_imp, f1s[k])
+            for (tau_exp, tau_imp), k in zip(cells, row_of.ravel().tolist())]
     best = max(rows, key=lambda row: row[2])       # the first of equal maxima
     return TuneResult(*best, table=tuple(rows))

@@ -51,6 +51,25 @@ def test_estimate_transitions_round_trips(tmp_path):
     assert np.array_equal(model.start_scores, reference.start_scores)
 
 
+@pytest.mark.parametrize("kinds", [",", "", " , "])
+def test_format_qa_rejects_an_empty_kind_list(tmp_path, capsys, kinds):
+    out = tmp_path / "qa.jsonl"
+    code = main(["format-qa", *_corpus_args(), "--kinds", kinds, "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "error: no instance kinds given" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("min_count", ["-3", "0"])
+def test_estimate_transitions_rejects_a_min_count_below_one(tmp_path, capsys, min_count):
+    out = tmp_path / "model.json"
+    code = main(["estimate-transitions", *_corpus_args(), "--min-count", min_count,
+                 "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert f"error: min_count must be >= 1, got {min_count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_decode_resolve_evaluate_chain(tmp_path, capsys):
     emissions = tmp_path / "emissions.jsonl"
     decoded = tmp_path / "decoded.jsonl"

@@ -149,6 +149,25 @@ def test_main_fails_cleanly_on_missing_input(tmp_path, capsys):
     assert code != 0
 
 
+@pytest.mark.parametrize("splits, message", [
+    ("bogus", "error: unknown split 'bogus'"),
+    ("train,bogus", "error: unknown split 'bogus'"),
+    ("train,dev", "grids.v1.dev.json not found"),
+])
+def test_a_bad_split_or_input_leaves_out_dir_absent(tmp_path, capsys, splits, message):
+    data_dir = tmp_path / "raw"
+    data_dir.mkdir()
+    (data_dir / "grids.v1.train.json").write_text(json.dumps(
+        {"para_id": "10", "sentence_texts": ["Rain falls."], "participants": ["water"],
+         "states": [["sky", "ground"]]}) + "\n")
+    out_dir = tmp_path / "X" / "out"
+    code = convert_datasets.main(
+        ["--data-dir", str(data_dir), "--out-dir", str(out_dir), "--splits", splits])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "X").exists()
+
+
 def _with_field(field, value):
     """A good record with para_id, or the one participant or sentence, set to value."""
     record = {"para_id": "12", "sentence_texts": ["Rain falls."],

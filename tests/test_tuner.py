@@ -17,7 +17,7 @@ from proctrack.corpus import AnnotationGrid, Entity, Procedure, load_corpus
 from proctrack.decoder import (DecodeConfig, EmissionSet, EmissionTrack, decode_entity,
                                load_emissions, viterbi, weight_emissions)
 from proctrack.errors import NoValidPathError, ValidationError
-from proctrack.evaluator import eval_document_level
+from proctrack.evaluator import document_report, eval_document_level
 from proctrack.synth import OracleConfig, make_corpus, synth_emissions
 from proctrack.transitions import TransitionModel, estimate, load_model
 from proctrack.tuner import TuneResult, _entity_paths, default_grid, parse_grid, tune
@@ -305,17 +305,22 @@ def test_entity_with_one_path_is_decoded_at_its_corners_only(monkeypatch, size, 
     assert len(resolved) == 1 and column == [0] * size ** 2
 
 
-def test_an_exact_tie_is_decoded_in_one_round(monkeypatch):
-    """Every path ties at every cell: equal model scores and zero logits, so
-    no decode has a margin and no group can be filled. The round that finds
-    this decodes the group's cells, instead of peeling one hull layer per
-    round (49 hulls for this grid)."""
+def _all_tie_case():
+    """(procedures, gold, emissions, model) where every path ties at every
+    cell: equal model scores and zero logits."""
     model = TransitionModel(vocabulary=RECIPES, start_scores=np.zeros(RECIPES.size),
                             trans_scores=np.zeros((RECIPES.size,) * 2))
     procedure = _procedure_mentioning((True, False, True, False))
     track = EmissionTrack(np.zeros((4, RECIPES.size)), ("?",) * 5)
     gold = {"p": AnnotationGrid("p", {"e": resolve(["exist"] * 4, ["?"] * 5, RECIPES).track()})}
-    emissions = {"p": EmissionSet("p", {"e": track})}
+    return [procedure], gold, {"p": EmissionSet("p", {"e": track})}, model
+
+
+def test_an_exact_tie_is_decoded_in_one_round(monkeypatch):
+    """Every path ties at every cell, so no decode has a margin and no group
+    can be filled. The round that finds this decodes the group's cells,
+    instead of peeling one hull layer per round (49 hulls for this grid)."""
+    procedures, gold, emissions, model = _all_tie_case()
     hull, hulls = tuner._hull, []
 
     def counted(*args):
@@ -324,9 +329,9 @@ def test_an_exact_tie_is_decoded_in_one_round(monkeypatch):
 
     monkeypatch.setattr(tuner, "_hull", counted)
     grid = [k / 10 for k in range(1, 31)]
-    result = tune([procedure], gold, emissions, model, RECIPES, grid=grid)
+    result = tune(procedures, gold, emissions, model, RECIPES, grid=grid)
     assert len(hulls) <= 2
-    assert result == reference_tune([procedure], gold, emissions, model, RECIPES, grid=grid)
+    assert result == reference_tune(procedures, gold, emissions, model, RECIPES, grid=grid)
 
 
 def test_decodes_grow_slower_than_the_grid(monkeypatch):
@@ -342,6 +347,29 @@ def test_decodes_grow_slower_than_the_grid(monkeypatch):
     calls.clear()
     tune(procedures, grids, emissions, model, PROPARA, grid=[k / 40 for k in range(1, 61)])
     assert len(calls) < 3 * coarse
+
+
+def test_each_distinct_count_row_is_scored_once(monkeypatch):
+    """The table's macro F1 is built once per distinct row of question
+    counts, not once per cell: the all-tie case has 900 cells and one row,
+    and on the propara fixture no row is scored twice."""
+    rows = []
+
+    def counted(counts):
+        rows.append(tuple(map(tuple, counts)))
+        return document_report(counts)
+
+    monkeypatch.setattr(tuner, "document_report", counted)
+    procedures, gold, emissions, model = _all_tie_case()
+    result = tune(procedures, gold, emissions, model, RECIPES,
+                  grid=[k / 10 for k in range(1, 31)])
+    assert len(result.table) == 900 and len(rows) == 1
+
+    rows.clear()
+    procedures, grids = load_corpus(CORPUS_PROPARA, PROPARA)
+    emissions = load_emissions(EMISSIONS_PROPARA, procedures, PROPARA)
+    result = tune(procedures, grids, emissions, load_model(MODEL_PROPARA), PROPARA)
+    assert len(rows) == len(set(rows)) < len(result.table)
 
 
 def test_grid_validation():
