@@ -25,8 +25,9 @@ from proctrack.decoder import DecodeConfig
 def benchmark(args) -> int:
     out_dir = Path(args.out_dir)
     vocabulary = get_vocabulary(args.vocab)
-    # Every flag goes through the check of the code that takes it before the
-    # first write, so a bad flag leaves --out-dir as it was.
+    # The procedure counts are checked while parsing; every other flag goes
+    # through the check of the code that takes it before the first write, so
+    # a bad flag leaves --out-dir as it was.
     corpora = {"train": make_corpus(args.train_procedures, vocabulary, seed=args.seed),
                "eval": make_corpus(args.eval_procedures, vocabulary, seed=args.seed + 1)}
     OracleConfig(state_noise=args.state_noise, location_noise=args.location_noise,
@@ -61,13 +62,22 @@ def benchmark(args) -> int:
                             "--out", out_dir))
 
 
+def procedure_count(text: str) -> int:
+    """A --train-procedures or --eval-procedures value, checked here so that
+    the error names its flag."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="synthetic end-to-end benchmark with known gold")
     parser.add_argument("--vocab", default="propara",
                         choices=("propara", "recipes"))
-    parser.add_argument("--train-procedures", type=int, default=200)
-    parser.add_argument("--eval-procedures", type=int, default=100)
+    parser.add_argument("--train-procedures", type=procedure_count, default=200)
+    parser.add_argument("--eval-procedures", type=procedure_count, default=100)
     parser.add_argument("--seed", type=int, default=11,
                         help="base seed; train, eval, and noise derive from it")
     parser.add_argument("--state-noise", type=float, default=0.1)

@@ -61,7 +61,8 @@ def resolve(states, location_preds, vocabulary: StateVocabulary) -> ResolvedTrac
       * move must land somewhere new: a prediction equal to the previous
         slot, or "none", degrades to "unknown".
 
-    The state sequence is never altered. Output satisfies the grid rules for
+    The state sequence is never altered; it comes back as the vocabulary's
+    own label objects (`canonical`). Output satisfies the grid rules for
     any state sequence a transition model estimated from consistent gold can
     produce (a sequence that admits no consistent locations at all, such as
     create immediately after move, is repaired best-effort).
@@ -72,8 +73,7 @@ def resolve(states, location_preds, vocabulary: StateVocabulary) -> ResolvedTrac
     if len(location_preds) != len(states) + 1:
         raise ValidationError(
             f"{len(location_preds)} location predictions for {len(states)} steps")
-    for s in states:
-        vocabulary.index(s)
+    states = vocabulary.canonical(states)
 
     parsed = [parse_prediction(p) for p in location_preds]
     locations: list[LocationValue] = [None] * len(parsed)

@@ -33,6 +33,7 @@ NONEXISTENT = "nonexistent"
 
 _STRIP_CHARS = string.punctuation + string.whitespace
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def normalize_location(text: str) -> str:
@@ -173,6 +174,15 @@ class StateVocabulary:
                 f"label {label!r} not in vocabulary {self.name!r}"
             ) from None
 
+    def canonical(self, states) -> tuple[str, ...]:
+        """`states` as this vocabulary's own label objects, so that a run holds
+        each label string once. The first unknown label raises as `index` does."""
+        try:
+            return tuple(map(self.labels.__getitem__, map(self._index.__getitem__, states)))
+        except KeyError as exc:
+            raise ValidationError(
+                f"label {exc.args[0]!r} not in vocabulary {self.name!r}") from None
+
     @property
     def size(self) -> int:
         return len(self.labels)
@@ -309,6 +319,7 @@ def track_violations(track: Track, vocabulary: StateVocabulary,
     """
     found = []
     states, locs = track.states, track.locations
+    nonexistent, keeps_location = vocabulary.nonexistent_states, vocabulary.tracks_movement
 
     def bad(step, rule, msg):
         found.append(Violation(entity_id, step, rule, msg))
@@ -317,7 +328,7 @@ def track_violations(track: Track, vocabulary: StateVocabulary,
         bad(1, "start-nonexistent",
             f"outside_before at step 1 requires slot 0 to be '-', got {locs[0].token()!r}")
     for t, state in enumerate(states, start=1):
-        if state in vocabulary.nonexistent_states or state == "destroy":
+        if state in nonexistent or state == "destroy":
             if locs[t].kind != NONEXISTENT:
                 bad(t, "nonexistent-state-location",
                     f"state {state!r} at step {t} requires location '-', "
@@ -330,7 +341,7 @@ def track_violations(track: Track, vocabulary: StateVocabulary,
             if locs[t].kind == NONEXISTENT:
                 bad(t, "create-yields-location",
                     f"create at step {t} forbids location '-' at slot {t}")
-        if state == "exist" and vocabulary.tracks_movement:
+        if state == "exist" and keeps_location:
             if not locs[t].matches(locs[t - 1]):
                 bad(t, "exist-keeps-location",
                     f"exist at step {t} requires slot {t} to repeat slot "
@@ -361,8 +372,9 @@ def check_str(value, what: str) -> str:
 
 
 def check_str_list(value, what: str) -> list[str]:
-    """`value`, which must be a list of strings; `what` names it in the error."""
-    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+    """`value`, which must be a list of strings; `what` names it in the error.
+    Types are checked exactly: JSON decoding never yields a subclass."""
+    if type(value) is not list or not set(map(type, value)) <= {str}:
         raise ValidationError(f"{what} must be a list of strings")
     return value
 
@@ -383,7 +395,7 @@ def read_records(path, parse) -> None:
                 if not text.strip():
                     continue
                 record = json.loads(text)
-                if "\\u" in text:          # only an escape can decode to a surrogate
+                if _SURROGATE_ESCAPE.search(text):    # no other text decodes to a surrogate
                     json.dumps(record, ensure_ascii=False).encode("utf-8")
             except (ValueError, RecursionError) as exc:   # or nested too deep to parse
                 raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from None
@@ -457,9 +469,7 @@ def _parse_track(payload, num_steps: int, vocabulary: StateVocabulary) -> Track:
     if len(locations) != num_steps + 1:
         raise ValidationError(
             f"{len(locations)} locations, expected {num_steps + 1}")
-    for s in states:
-        vocabulary.index(s)
-    return Track(states=tuple(states),
+    return Track(states=vocabulary.canonical(states),
                  locations=tuple(map(LocationValue.from_token, locations)))
 
 
@@ -496,7 +506,8 @@ def load_corpus(path, vocabulary: StateVocabulary):
     """Read a corpus file. Gold grids are validated with hard errors.
 
     Returns (procedures, grids) where grids maps procedure id to
-    AnnotationGrid for every record that carried gold annotations.
+    AnnotationGrid for every record that carried gold annotations. Track
+    states are the vocabulary's own label objects (`canonical`).
     """
     procedures: dict[str, Procedure] = {}
     grids: dict[str, AnnotationGrid] = {}

@@ -248,10 +248,12 @@ def load_emissions(path, procedures, vocabulary: StateVocabulary):
 
     Each record: {"procedure_id", "entity_id", "state_logits" (T x L,
     row-major), "location_preds" (T+1 strings)}. Dimensions are checked
-    against the corpus and all logits must be finite.
+    against the corpus and all logits must be finite. Ids are the corpus's
+    own objects, and equal location predictions are one string object.
     """
     by_id = {p.id: p for p in procedures}
     sets: dict[str, EmissionSet] = {}
+    shared: dict[str, str] = {}
 
     def parse(record):
         proc_id = check_str(record.get("procedure_id"), "'procedure_id'")
@@ -265,19 +267,20 @@ def load_emissions(path, procedures, vocabulary: StateVocabulary):
         procedure = by_id.get(proc_id)
         if procedure is None:
             raise ValidationError(f"unknown procedure id {proc_id!r}")
-        if all(e.id != entity_id for e in procedure.entities):
+        known = [e.id for e in procedure.entities if e.id == entity_id]
+        if not known:
             raise ValidationError(f"unknown entity {entity_id!r} in procedure {proc_id!r}")
-        track = EmissionTrack(logits, tuple(preds))
+        track = EmissionTrack(logits, tuple(map(shared.setdefault, preds, preds)))
         if track.num_steps != procedure.num_steps:
             raise ValidationError(
                 f"{track.num_steps} logit rows for {procedure.num_steps} steps")
         if track.state_logits.shape[1] != vocabulary.size:
             raise ValidationError(
                 f"{track.state_logits.shape[1]} logit columns for {vocabulary.size} labels")
-        bucket = sets.setdefault(proc_id, EmissionSet(proc_id, {}))
+        bucket = sets.setdefault(procedure.id, EmissionSet(procedure.id, {}))
         if entity_id in bucket.tracks:
             raise ValidationError(f"duplicate emissions for ({proc_id!r}, {entity_id!r})")
-        bucket.tracks[entity_id] = track
+        bucket.tracks[known[0]] = track
 
     read_records(path, parse)
     return sets

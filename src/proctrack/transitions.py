@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,7 +189,7 @@ def load_model(path) -> TransitionModel:
     try:
         vocabulary = StateVocabulary(
             name=payload["vocabulary"],
-            labels=tuple(payload["labels"]),
+            labels=tuple(map(sys.intern, payload["labels"])),   # the built-in labels' objects
             nonexistent_states=frozenset(payload["nonexistent_states"]),
         )
         return TransitionModel(

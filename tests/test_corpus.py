@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import threading
 
@@ -185,6 +186,34 @@ def test_round_trip_preserves_corpus(tmp_path):
     assert loaded_procedures == procedures
     for procedure in procedures:
         assert loaded_grids[procedure.id].entries == grids[procedure.id].entries
+
+
+def _with_escaped_step(tmp_path, escape):
+    """The fixture corpus with `escape` written, as JSON text, before the
+    first step of its first record."""
+    lines = CORPUS_PROPARA.read_text().splitlines()
+    assert '"steps": ["' in lines[0]
+    lines[0] = lines[0].replace('"steps": ["', '"steps": ["' + escape, 1)
+    path = tmp_path / "escaped.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("escape, text", [
+    ("\\u00e9", "\u00e9"),
+    ("\\ud83d\\ude00", "\U0001F600"),
+    ("\\uD83D\\uDE00", "\U0001F600"),
+])
+def test_escaped_text_loads(tmp_path, escape, text):
+    procedures, _ = load_corpus(_with_escaped_step(tmp_path, escape), PROPARA)
+    assert procedures[0].steps[0].startswith(text + "Water flows")
+
+
+@pytest.mark.parametrize("escape", ["\\ud800", "\\uDFFF", "\\ude00\\ud83d"])
+def test_an_unpaired_surrogate_escape_is_bad_json(tmp_path, escape):
+    path = _with_escaped_step(tmp_path, escape)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:1: bad JSON: "):
+        load_corpus(path, PROPARA)
 
 
 def test_load_rejects_slot_count_mismatch(tmp_path):

@@ -44,6 +44,15 @@ def test_negative_seed_exits_two(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--train-procedures", "--eval-procedures"])
+def test_a_procedure_count_below_one_names_its_flag(tmp_path, flag):
+    out_dir = tmp_path / "fresh" / "run"
+    run = _run(flag, "0", "--out-dir", str(out_dir))
+    assert run.returncode == 2, run.stderr
+    assert f"error: argument {flag}: must be >= 1, got 0" in run.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--state-noise", "1.5", "error: state_noise must be in [0, 1), got 1.5"),
     ("--tau-exp", "0", "error: tau values must be finite and positive, got (0.0, 0.7)"),
