@@ -71,7 +71,7 @@ def procedure_count(text: str) -> int:
     return count
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         description="synthetic end-to-end benchmark with known gold")
     parser.add_argument("--vocab", default="propara",
@@ -84,12 +84,16 @@ def main(argv=None) -> int:
     parser.add_argument("--location-noise", type=float, default=0.1)
     parser.add_argument("--bias-implicit", type=float, default=0.0,
                         help="extra state noise on steps that do not mention the entity")
-    parser.add_argument("--tau-exp", type=float, default=0.6)
-    parser.add_argument("--tau-imp", type=float, default=0.7)
+    parser.add_argument("--tau-exp", type=float, default=DecodeConfig.tau_exp)
+    parser.add_argument("--tau-imp", type=float, default=DecodeConfig.tau_imp)
     parser.add_argument("--tune", action="store_true",
                         help="grid-search the weights before the final run")
     parser.add_argument("--out-dir", required=True)
-    return cli.run(benchmark, parser.parse_args(argv))
+    return parser
+
+
+def main(argv=None) -> int:
+    return cli.run(benchmark, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -34,8 +34,8 @@ def _add_decode_args(sub, taus=True):
     sub.add_argument("--emissions", required=True)
     sub.add_argument("--model", required=True)
     if taus:
-        sub.add_argument("--tau-exp", type=float, default=0.6)
-        sub.add_argument("--tau-imp", type=float, default=0.7)
+        sub.add_argument("--tau-exp", type=float, default=decoder.DecodeConfig.tau_exp)
+        sub.add_argument("--tau-imp", type=float, default=decoder.DecodeConfig.tau_imp)
     sub.add_argument("--relax", action="store_true",
                      help="when no legal path exists, decode the paths with the fewest "
                           "vetoed (-inf) starts and transitions")

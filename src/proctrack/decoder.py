@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import (Entity, Procedure, StateVocabulary, check_str, check_str_list,
                      read_records, token_text, write_records)
 from .errors import NoValidPathError, ValidationError
-from .transitions import TransitionModel, fewest_vetoes
+from .transitions import TransitionModel, veto_counts
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,9 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False,
     sequence scores -inf; with relax=True it then ranks sequences by fewest
     vetoed (-inf) starts and transitions first and score second, a vetoed
     entry adding 0 (a lexicographic semiring, Roark, Sproat & Shafran 2011).
-    So a vetoed path is picked only when no legal one exists.
+    That decode runs the same kernel over the same labels, on only the
+    entries that lie on some fewest-veto path (`veto_counts`). So a vetoed
+    path is picked only when no legal one exists.
 
     With runner_up=True it returns (labels, score, runner_up): runner_up is
     the second-highest score over all label sequences of the same decode,
@@ -132,30 +134,41 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False,
     if not np.isfinite(U).all():
         raise ValidationError("emission scores must all be finite")
 
-    rows, depth = U.tolist(), 1
+    rows = U.tolist()
     start, trans = model.start_scores, model.trans_scores
     try:
-        path, score, second = _max_plus(rows, start, trans)
+        path, score, second = _max_plus(rows, start, [_incoming(trans)] * (len(rows) - 1))
     except NoValidPathError:
         if not relax:
             raise
-        # State q*depth + k is label q after k vetoed entries, which add 0;
-        # label-major, so ties still go to the lowest label. No state holds
-        # more than the fewest vetoes. Row `size` at k = 0 holds the starts.
-        depth = fewest_vetoes(model, len(rows)) + 1
-        k, scores = np.arange(depth), np.vstack([trans, start])
-        layered = np.full((size + 1, depth, size, depth), -np.inf)
-        layered[:, k, :, k] = scores
-        layered[:, k[:-1], :, k[1:]] = np.where(np.isneginf(scores), 0.0, -np.inf)
-        layered = layered.reshape(-1, size * depth)
-        path, score, second = _max_plus([[u for u in row for _ in k] for row in rows],
-                                        layered[-depth], layered[:-depth])
-    labels = [model.vocabulary.labels[i // depth] for i in path]
+        counts = veto_counts(model, len(rows))
+        # Each prefix of a fewest-veto path has its label's fewest vetoes at
+        # its length, so a step keeps only the entries that hold them; no
+        # entry reaches a last label above the fewest.
+        counts[-1][counts[-1] > counts[-1].min()] = -1
+        steps = [_incoming(_fewest(trans, a[:, None], b)) for a, b in zip(counts, counts[1:])]
+        path, score, second = _max_plus(rows, _fewest(start, 0, counts[0]), steps)
+    labels = [model.vocabulary.labels[i] for i in path]
     return (labels, score, second) if runner_up else (labels, score)
 
 
-def _max_plus(rows, start, trans):
-    """(label indices, score, runner_up) for logit rows; see `viterbi`."""
+def _fewest(scores, before, after):
+    """`scores` with a vetoed entry scored 0, and -inf where an entry does
+    not take `before` vetoes to `after`."""
+    vetoed = np.isneginf(scores)
+    return np.where(before + vetoed == after, np.where(vetoed, 0.0, scores), -np.inf)
+
+
+def _incoming(trans):
+    """Per label q, its (p, score) edges from each p, the -inf ones left out:
+    a vetoed edge only adds -inf, which never beats the -inf a state starts
+    from, so skipping it leaves every score and backpointer as is."""
+    return [[(p, s) for p, s in enumerate(col) if s != -np.inf] for col in trans.T.tolist()]
+
+
+def _max_plus(rows, start, steps):
+    """(label indices, score, runner_up) for logit rows, start scores and one
+    `_incoming` edge list per step after the first; see `viterbi`."""
     # Max-plus over Python floats: the same IEEE additions in the same order
     # as a numpy formulation, without its per-step array overhead at L <= 6.
     # Each state also keeps the second-best score of the prefixes ending in
@@ -164,13 +177,10 @@ def _max_plus(rows, start, trans):
     # runner-up is exactly the second-largest of the path sums whose
     # largest is the score.
     veto = -np.inf
-    # A vetoed edge only adds -inf, which never beats the -inf a state
-    # starts from, so skipping it leaves every score and backpointer as is.
-    incoming = [[(p, s) for p, s in enumerate(col) if s != veto] for col in trans.T.tolist()]
     dp = [s + u for s, u in zip(start.tolist(), rows[0])]
     dp2 = [veto] * len(dp)
     backptr = []
-    for row in rows[1:]:
+    for row, incoming in zip(rows[1:], steps):
         best_prev = []
         step, step2 = [], []
         for edges, u in zip(incoming, row):

@@ -19,6 +19,7 @@ the scorer.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import NONEXISTENT, AnnotationGrid, StateVocabulary, Track
@@ -253,31 +254,32 @@ def eval_recipes_locations(gold_grids: dict[str, AnnotationGrid],
 
 
 def eval_split(gold_grids: dict[str, AnnotationGrid],
-               pred_states: dict[tuple[str, str], list[str]],
-               mention_flags: dict[tuple[str, str], tuple[bool, ...]]) -> SplitReport:
-    """Per-step state accuracy, partitioned by the mention flag of the step."""
-    correct = {True: 0, False: 0}
-    total = {True: 0, False: 0}
-    for (proc_id, entity_id), states in pred_states.items():
-        gold = gold_grids.get(proc_id)
-        gold_track = gold.entries.get(entity_id) if gold else None
+               mention_flags: dict[tuple[str, str], tuple[bool, ...]],
+               *pred_states: dict[tuple[str, str], list[str]]) -> tuple[SplitReport, ...]:
+    """Per-step state accuracy of each prediction set, partitioned by the
+    mention flag of the step. Every set covers exactly the flagged entities,
+    and one walk over them fills every report."""
+    unflagged = [key for states in pred_states for key in states if key not in mention_flags]
+    if unflagged:
+        raise ValidationError(f"bad mention flags for {unflagged[0]!r}")
+    total, correct = Counter(), [Counter() for _ in pred_states]
+    for key, flags in mention_flags.items():
+        gold = gold_grids.get(key[0])
+        gold_track = gold.entries.get(key[1]) if gold else None
         if gold_track is None:
-            raise ValidationError(
-                f"no gold track for ({proc_id!r}, {entity_id!r})")
-        flags = mention_flags.get((proc_id, entity_id))
-        if flags is None or len(flags) != gold_track.num_steps:
-            raise ValidationError(
-                f"bad mention flags for ({proc_id!r}, {entity_id!r})")
-        if len(states) != gold_track.num_steps:
-            raise ValidationError(
-                f"bad state count for ({proc_id!r}, {entity_id!r})")
-        for flag, pred, gold_state in zip(flags, states, gold_track.states):
-            total[flag] += 1
-            if pred == gold_state:
-                correct[flag] += 1
+            raise ValidationError(f"no gold track for {key!r}")
+        if len(flags) != gold_track.num_steps:
+            raise ValidationError(f"bad mention flags for {key!r}")
+        tracks = [states.get(key, ()) for states in pred_states]
+        if any(len(states) != gold_track.num_steps for states in tracks):
+            raise ValidationError(f"bad state count for {key!r}")
+        total.update(flags)
+        for states, hits in zip(tracks, correct):
+            hits.update(flag for flag, pred, gold_state in zip(flags, states, gold_track.states)
+                        if pred == gold_state)
 
-    def bucket(flag):
-        n = total[flag]
-        return BucketAccuracy(correct[flag] / n if n else None, correct[flag], n)
+    def report(hits):
+        return SplitReport(*(BucketAccuracy(hits[flag] / total[flag] if total[flag] else None,
+                                            hits[flag], total[flag]) for flag in (True, False)))
 
-    return SplitReport(explicit=bucket(True), implicit=bucket(False))
+    return tuple(map(report, correct))

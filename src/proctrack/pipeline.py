@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .consistency import resolve
 from .corpus import AnnotationGrid, StateVocabulary, save_corpus, write_json, write_text
@@ -58,7 +58,6 @@ class PipelineResult(Scores):
     config: DecodeConfig
     vocabulary: StateVocabulary
     seed: int | None = None
-    decoded_states: dict = field(default_factory=dict)
 
 
 def join(procedures, gold_grids, emissions):
@@ -153,17 +152,17 @@ def run_pipeline(procedures, gold_grids, emissions, model: TransitionModel,
             flags_map[proc_id, entity_id] = flags
 
     scores = score(gold_grids, pred_grids, vocabulary, per_procedure)
+    split_argmax, split_decoded = eval_split(gold_grids, flags_map, raw_states, decoded_states)
     return PipelineResult(
         **vars(scores),
         pred_grids=pred_grids,
-        split_argmax=eval_split(gold_grids, raw_states, flags_map),
-        split_decoded=eval_split(gold_grids, decoded_states, flags_map),
+        split_argmax=split_argmax,
+        split_decoded=split_decoded,
         repair_counts=dict(sorted(repair_counts.items())),
         missing=missing,
         config=config,
         vocabulary=vocabulary,
         seed=seed,
-        decoded_states=decoded_states,
     )
 
 
@@ -203,7 +202,7 @@ def report_dict(result: PipelineResult) -> dict:
         "config": {"vocabulary": result.vocabulary.name, **to_payload(result.config),
                    "seed": result.seed},
         "coverage": {
-            "decoded_entities": len(result.decoded_states),
+            "decoded_entities": sum(len(grid.entries) for grid in result.pred_grids.values()),
             "missing_emissions": len(result.missing),
         },
         "consistency_repairs": result.repair_counts,

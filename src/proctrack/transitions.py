@@ -113,19 +113,20 @@ def estimate(grids, vocabulary: StateVocabulary) -> TransitionModel:
     )
 
 
-def fewest_vetoes(model: TransitionModel, num_steps: int) -> int:
-    """The fewest -inf starts and transitions on any length-T sequence."""
+def veto_counts(model: TransitionModel, num_steps: int) -> np.ndarray:
+    """A (T, L) int array: row t holds, per label q, the fewest -inf starts
+    and transitions on any sequence of t + 1 labels that ends in q."""
     if num_steps < 1:
         raise ValidationError("num_steps must be >= 1")
-    vetoes, edges = (np.isneginf(s) * 1 for s in (model.start_scores, model.trans_scores))
+    counts, edges = [np.isneginf(model.start_scores) * 1], np.isneginf(model.trans_scores) * 1
     for _ in range(num_steps - 1):              # min-plus over veto counts
-        vetoes = (vetoes[:, None] + edges).min(axis=0)
-    return int(vetoes.min())
+        counts.append((counts[-1][:, None] + edges).min(axis=0))
+    return np.array(counts)
 
 
 def validate_path_exists(model: TransitionModel, num_steps: int) -> bool:
     """True when some length-T sequence has finite start and transition scores."""
-    return fewest_vetoes(model, num_steps) == 0
+    return int(veto_counts(model, num_steps)[-1].min()) == 0
 
 
 def audit_rare_transitions(model: TransitionModel, min_count: int):

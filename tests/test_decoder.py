@@ -36,7 +36,7 @@ from proctrack.decoder import (
 )
 from proctrack.errors import NoValidPathError, ValidationError
 from proctrack.synth import make_corpus
-from proctrack.transitions import TransitionModel, estimate, fewest_vetoes, validate_path_exists
+from proctrack.transitions import TransitionModel, estimate, validate_path_exists, veto_counts
 
 
 def _single_track_model():
@@ -399,7 +399,7 @@ def test_runner_up_matches_exhaustive_enumeration(n_labels, n_steps, integer, sc
 )
 def test_relax_takes_fewest_vetoes_then_best_score(n_labels, n_steps, scale, data):
     """Over all L**T paths of a model that vetoes most entries, the relaxed
-    decode's path has the fewest vetoed entries (as `fewest_vetoes` counts
+    decode's path has the fewest vetoed entries (as `veto_counts` counts
     them), its score is the best at that count and the runner-up the second
     best, however large the logits."""
     entries = st.sampled_from([-np.inf, -np.inf, -np.inf, -1.0, 0.0, 1.5])
@@ -415,7 +415,7 @@ def test_relax_takes_fewest_vetoes_then_best_score(n_labels, n_steps, scale, dat
                          ).reshape(n_steps, n_labels) * scale
     scores = relaxed_path_scores(emissions, model)
     vetoes = min(scores.values())[0]
-    assert fewest_vetoes(model, n_steps) == vetoes
+    assert veto_counts(model, n_steps)[-1].min() == vetoes
     ranked = sorted((score for count, score in scores.values() if count == vetoes),
                     reverse=True) + [-np.inf]
     states, score, runner_up = viterbi(emissions, model, relax=True, runner_up=True)

@@ -1,5 +1,7 @@
 """Scoring protocols: document events, sentence categories, location changes."""
 
+import re
+
 import pytest
 
 from proctrack.corpus import (
@@ -234,10 +236,10 @@ def test_split_buckets_by_mention_flag():
             },
         )
     }
-    report = eval_split(
+    (report,) = eval_split(
         gold,
-        {("mix", "A"): ["create", "move", "move"]},
         {("mix", "A"): (True, False, True)},
+        {("mix", "A"): ["create", "move", "move"]},
     )
     assert report.explicit.accuracy == 1.0
     assert (report.explicit.n_correct, report.explicit.n_steps) == (2, 2)
@@ -252,10 +254,45 @@ def test_split_empty_bucket_has_no_accuracy():
             entries={"A": _track(["exist"], ["?", "?"])},
         )
     }
-    report = eval_split(gold, {("mix", "A"): ["exist"]}, {("mix", "A"): (True,)})
+    (report,) = eval_split(gold, {("mix", "A"): (True,)}, {("mix", "A"): ["exist"]})
     assert report.explicit.accuracy == 1.0
     assert report.implicit.accuracy is None
     assert report.implicit.n_steps == 0
+
+
+def test_split_scores_every_prediction_set_in_one_call():
+    gold = {"mix": AnnotationGrid("mix", {
+        "A": _track(["create", "exist", "move"], ["-", "soil", "soil", "pond"]),
+        "B": _track(["exist", "destroy", "none"], ["?", "?", "-", "-"]),
+    })}
+    flags = {("mix", "A"): (True, False, True), ("mix", "B"): (False, False, True)}
+    first = {("mix", "A"): ["create", "move", "move"], ("mix", "B"): ["exist", "exist", "none"]}
+    second = {("mix", "A"): ["exist", "exist", "move"], ("mix", "B"): ["move", "destroy", "none"]}
+    together = eval_split(gold, flags, first, second)
+    assert together == eval_split(gold, flags, first) + eval_split(gold, flags, second)
+    assert (together[1].explicit.n_correct, together[1].implicit.n_correct) == (2, 2)
+
+
+@pytest.mark.parametrize("flags, states, message", [
+    ((True, False), ["create", "exist", "move"], "bad mention flags for ('mix', 'A')"),
+    ((True, False, True), ["create", "exist"], "bad state count for ('mix', 'A')"),
+    ((True, False, True), ["create", "exist", "move", "move"],
+     "bad state count for ('mix', 'A')"),
+])
+def test_split_rejects_a_track_whose_length_differs_from_gold(flags, states, message):
+    gold = {"mix": AnnotationGrid("mix", {
+        "A": _track(["create", "exist", "move"], ["-", "soil", "soil", "pond"])})}
+    good = {("mix", "A"): ["create", "exist", "move"]}
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        eval_split(gold, {("mix", "A"): flags}, good, {("mix", "A"): states})
+
+
+def test_split_rejects_a_prediction_without_mention_flags():
+    gold = {"mix": AnnotationGrid("mix", {
+        "A": _track(["create", "exist", "move"], ["-", "soil", "soil", "pond"])})}
+    states = {("mix", "A"): ["create", "exist", "move"], ("mix", "B"): ["exist"] * 3}
+    with pytest.raises(ValidationError, match=re.escape("bad mention flags for ('mix', 'B')")):
+        eval_split(gold, {("mix", "A"): (True, False, True)}, states)
 
 
 def test_generated_corpus_identity_scores_perfect():

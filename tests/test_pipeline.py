@@ -69,6 +69,17 @@ def test_missing_emissions_cost_recall_but_never_crash():
     assert payload["coverage"]["missing_emissions"] == 1
 
 
+def test_a_run_without_emissions_decodes_nothing():
+    procedures, grids, model, _ = _fixture_inputs()
+    payload = report_dict(run_pipeline(procedures, grids, {}, model, PROPARA))
+    assert payload["coverage"] == {
+        "decoded_entities": 0,
+        "missing_emissions": sum(len(grid.entries) for grid in grids.values())}
+    for report in payload["split_accuracy"].values():
+        for bucket in report.values():
+            assert bucket == {"accuracy": None, "correct": 0, "steps": 0}
+
+
 def test_jobs_flag_leaves_outputs_unchanged(tmp_path):
     # `pipeline --jobs` is still parsed and runs in one process at any value.
     outputs = {}

@@ -1,6 +1,7 @@
 """The synthetic end-to-end benchmark script, and the error boundary that
 both scripts exit through."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,6 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from proctrack.cli import build_parser
+from proctrack.decoder import DecodeConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -83,3 +87,18 @@ def test_an_out_dir_that_is_a_file_exits_four(tmp_path, script):
     assert "i/o error: " in run.stderr
     assert "Traceback" not in run.stderr
     assert out_file.read_text() == "a file\n"
+
+
+def test_tau_flags_default_to_decode_config():
+    # The CLI's `decode` and `pipeline` and this script take the weights'
+    # defaults from DecodeConfig, which holds the only copy of them.
+    spec = importlib.util.spec_from_file_location(
+        "run_synthetic_benchmark", ROOT / "scripts" / "run_synthetic_benchmark.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    inputs = ["--corpus", "c", "--vocab", "propara", "--emissions", "e", "--model", "m",
+              "--out", "o"]
+    parsed = [build_parser().parse_args([command, *inputs]) for command in ("decode", "pipeline")]
+    parsed.append(script.build_parser().parse_args(["--out-dir", "o"]))
+    for args in parsed:
+        assert DecodeConfig(args.tau_exp, args.tau_imp) == DecodeConfig()

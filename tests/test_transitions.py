@@ -19,10 +19,10 @@ from proctrack.transitions import (
     TransitionModel,
     audit_rare_transitions,
     estimate,
-    fewest_vetoes,
     load_model,
     save_model,
     validate_path_exists,
+    veto_counts,
 )
 
 
@@ -98,21 +98,42 @@ def test_path_existence_horizon():
         validate_path_exists(model, 0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 5), st.data())
-def test_a_path_exists_exactly_when_none_needs_a_veto(n_labels, n_steps, data):
-    """fewest_vetoes is the fewest -inf starts and transitions over all
-    L**T paths, and validate_path_exists holds exactly when it is 0."""
+def _vetoing_model(n_labels, data):
+    """A model whose every start and transition is drawn from 0 and -inf."""
     entries = st.sampled_from([-np.inf, 0.0])
-    model = TransitionModel(
+    return TransitionModel(
         vocabulary=fuzz_vocabulary(n_labels),
         start_scores=data.draw(st.lists(entries, min_size=n_labels, max_size=n_labels)),
         trans_scores=np.reshape(data.draw(st.lists(
             entries, min_size=n_labels ** 2, max_size=n_labels ** 2)), (n_labels, n_labels)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_a_path_exists_exactly_when_none_needs_a_veto(n_labels, n_steps, data):
+    """The least of veto_counts' last row is the fewest -inf starts and
+    transitions over all L**T paths, and validate_path_exists holds exactly
+    when it is 0."""
+    model = _vetoing_model(n_labels, data)
     scores = relaxed_path_scores(np.zeros((n_steps, n_labels)), model)
     fewest = min(vetoes for vetoes, _ in scores.values())
-    assert fewest_vetoes(model, n_steps) == fewest
+    assert veto_counts(model, n_steps)[-1].min() == fewest
     assert validate_path_exists(model, n_steps) == (fewest == 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_veto_counts_hold_the_fewest_vetoes_at_every_step(n_labels, n_steps, data):
+    """Row t of veto_counts holds, for each label q, the fewest -inf starts
+    and transitions over all sequences of t + 1 labels that end in q."""
+    model = _vetoing_model(n_labels, data)
+    counts = veto_counts(model, n_steps)
+    assert counts.shape == (n_steps, n_labels)
+    for t in range(n_steps):
+        fewest = [math.inf] * n_labels
+        for path, (vetoes, _) in relaxed_path_scores(np.zeros((t + 1, n_labels)), model).items():
+            fewest[path[-1]] = min(fewest[path[-1]], vetoes)
+        assert counts[t].tolist() == fewest
 
 
 def test_audit_lists_rare_seen_transitions():
