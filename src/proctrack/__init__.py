@@ -7,12 +7,12 @@ mention-weighted Viterbi decoding over model emissions, location
 consistency repair, and document/sentence-level scoring.
 """
 
+from importlib import import_module
+
 from .corpus import get_vocabulary, load_corpus, load_predictions, save_corpus
 from .decoder import detect_mentions, load_emissions, save_emissions
 from .errors import ToolkitError
-from .synth import OracleConfig, make_corpus, synth_emissions
 from .transitions import estimate, load_model, save_model
-from .tuner import default_grid
 
 __version__ = "0.1.0"
 
@@ -35,3 +35,21 @@ __all__ = [
     "save_model",
     "synth_emissions",
 ]
+
+# Root names from modules that loading and decoding never run. Each is
+# imported on first access (PEP 562), so `import proctrack` compiles only
+# the four modules above.
+_LAZY = {"OracleConfig": "synth", "make_corpus": "synth", "synth_emissions": "synth",
+         "default_grid": "tuner"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,7 +13,9 @@ import sys
 
 import numpy as np
 
-from . import consistency, corpus, decoder, pipeline, qaformat, synth, transitions, tuner
+# The modules `_load`, `run` and `build_parser` need; each command imports
+# the rest of what it runs, so a command compiles only its own modules.
+from . import corpus, decoder, transitions
 from .errors import DecodeError, ValidationError
 
 EXIT_OK = 0
@@ -70,6 +72,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_format_qa(args) -> int:
+    from . import qaformat
     vocabulary, procedures, grids, *_ = _load(args)
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     count = qaformat.export_instances(procedures, grids, vocabulary,
@@ -95,6 +98,7 @@ def cmd_estimate_transitions(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
     vocabulary, procedures, grids, *_ = _load(args)
     config = synth.OracleConfig(
         state_noise=args.state_noise, location_noise=args.location_noise, seed=args.seed,
@@ -107,6 +111,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from . import pipeline
     _, procedures, _, model, emissions = _load(args)
     config = decoder.DecodeConfig(tau_exp=args.tau_exp, tau_imp=args.tau_imp)
     count = corpus.write_records(args.out, (
@@ -121,6 +126,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_resolve(args) -> int:
+    from . import consistency
     vocabulary, procedures, _, _, emissions = _load(args)
     known = {p.id for p in procedures}
     grids: dict[str, corpus.AnnotationGrid] = {}
@@ -149,6 +155,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import pipeline
     vocabulary, procedures, gold_grids, *_ = _load(args)
     pred_grids, violations = corpus.load_predictions(
         args.predictions, procedures, vocabulary)
@@ -174,6 +181,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    from . import tuner
     vocabulary, procedures, gold_grids, model, emissions = _load(args)
     grid = tuner.parse_grid(args.grid) if args.grid else None
     result = tuner.tune(procedures, gold_grids, emissions, model, vocabulary,
@@ -191,6 +199,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from . import pipeline
     vocabulary, procedures, gold_grids, model, emissions = _load(args)
     config = decoder.DecodeConfig(tau_exp=args.tau_exp, tau_imp=args.tau_imp)
     result = pipeline.run_pipeline(
@@ -261,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(sub)
     _add_decode_args(sub, taus=False)
     sub.add_argument("--grid", default=None,
-                     help=f"start:stop:step, at most {tuner.GRID_MAX_VALUES} values "
+                     help=f"start:stop:step, at most {decoder.GRID_MAX_VALUES} values "
                           "(default 0.1:1.5:0.1)")
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted and ignored: tune runs in one process")

@@ -34,6 +34,12 @@ class DecodeConfig:
                                   f"got ({self.tau_exp}, {self.tau_imp})")
 
 
+# The most values a tau grid (`tuner.parse_grid`, `tune --grid`) may have
+# per axis. It lives here so the CLI's help text can name it without
+# importing the tuner.
+GRID_MAX_VALUES = 1000
+
+
 @dataclass
 class EmissionTrack:
     """Model outputs for one entity: a (T, L) logit matrix and T+1 location
@@ -82,11 +88,20 @@ def detect_mentions(procedure: Procedure, entity: Entity) -> tuple[bool, ...]:
     return tuple(flags)
 
 
-def weight_emissions(state_logits, flags, config: DecodeConfig) -> np.ndarray:
-    """Scale each logit row by tau_exp (mentioned) or tau_imp (not mentioned)."""
-    logits = np.asarray(state_logits, dtype=float)
+def _logit_matrix(state_logits) -> np.ndarray:
+    """state_logits as a float array, which must be a (T, L) matrix."""
+    try:
+        logits = np.asarray(state_logits, dtype=float)
+    except ValueError:                  # ragged rows
+        logits = np.empty(0)
     if logits.ndim != 2:
         raise ValidationError("state_logits must be a (T, L) matrix")
+    return logits
+
+
+def weight_emissions(state_logits, flags, config: DecodeConfig) -> np.ndarray:
+    """Scale each logit row by tau_exp (mentioned) or tau_imp (not mentioned)."""
+    logits = _logit_matrix(state_logits)
     if len(flags) != logits.shape[0]:
         raise ValidationError(
             f"{len(flags)} mention flags for {logits.shape[0]} steps")
@@ -97,7 +112,7 @@ def weight_emissions(state_logits, flags, config: DecodeConfig) -> np.ndarray:
 def argmax_states(state_logits, vocabulary: StateVocabulary) -> list[str]:
     """Per-step argmax baseline, ignoring transitions. Ties pick the lowest
     label index."""
-    logits = np.asarray(state_logits, dtype=float)
+    logits = _logit_matrix(state_logits)
     if logits.shape[1] != vocabulary.size:
         raise ValidationError(
             f"logits have {logits.shape[1]} columns for {vocabulary.size} labels")

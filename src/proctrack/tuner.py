@@ -61,16 +61,16 @@ import numpy as np
 
 from .consistency import resolve
 from .corpus import AnnotationGrid, StateVocabulary
-from .decoder import DecodeConfig, detect_mentions, rounding_bound, viterbi, weight_emissions
+from .decoder import (GRID_MAX_VALUES, DecodeConfig, detect_mentions, rounding_bound, viterbi,
+                      weight_emissions)
 from .errors import ToolkitError, ValidationError
 from .evaluator import document_report, eval_document_level
 from .pipeline import join
 from .transitions import TransitionModel
 
 
-# A grid spec has at most 1,000 values, and its arithmetic is exact or
-# fails: 1,000 digits hold start + i*step for any three floats.
-GRID_MAX_VALUES = 1000
+# A grid spec has at most GRID_MAX_VALUES values, and its arithmetic is
+# exact or fails: 1,000 digits hold start + i*step for any three floats.
 _EXACT = decimal.Context(prec=1000, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
                          traps=[decimal.Inexact])
 

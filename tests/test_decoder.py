@@ -518,6 +518,20 @@ def test_argmax_states_ties_take_lowest_label():
     assert argmax_states(logits, PROPARA) == ["create", "move"]
 
 
+@pytest.mark.parametrize("decode", [
+    pytest.param(lambda logits: argmax_states(logits, PROPARA), id="argmax_states"),
+    pytest.param(lambda logits: weight_emissions(logits, [True, False], DecodeConfig()),
+                 id="weight_emissions"),
+])
+@pytest.mark.parametrize("logits", [
+    pytest.param([0.0] * PROPARA.size, id="one-dimensional"),
+    pytest.param([[0.0] * PROPARA.size, [0.0] * (PROPARA.size - 1)], id="ragged"),
+])
+def test_logits_that_are_not_a_matrix_are_rejected(decode, logits):
+    with pytest.raises(ValidationError, match=r"^state_logits must be a \(T, L\) matrix$"):
+        decode(logits)
+
+
 def test_decode_entity_weights_by_mention():
     procedures, grids = load_corpus(CORPUS_PROPARA, PROPARA)
     procedure = next(p for p in procedures if p.id == "hydropower")
