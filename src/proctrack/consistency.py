@@ -75,7 +75,10 @@ def resolve(states, location_preds, vocabulary: StateVocabulary) -> ResolvedTrac
             f"{len(location_preds)} location predictions for {len(states)} steps")
     states = vocabulary.canonical(states)
 
-    parsed = [parse_prediction(p) for p in location_preds]
+    try:
+        parsed = [parse_prediction(p) for p in location_preds]
+    except (AttributeError, TypeError):     # not a string
+        raise ValidationError("location predictions must be strings") from None
     locations: list[LocationValue] = [None] * len(parsed)
     repairs: list[Repair] = []
 

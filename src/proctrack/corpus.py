@@ -57,9 +57,10 @@ def token_text(text: str) -> str:
 class LocationValue:
     """One location slot: a text span, unknown ("?"), or nonexistent ("-").
 
-    Values parsed from strings are interned: `from_token` and
-    `parse_prediction` return one shared instance per distinct string, so
-    each distinct span is validated and normalized once.
+    `key` is its comparison key: spans compare after normalization, "-" and
+    "?" only match themselves. Values parsed from strings are interned:
+    `from_token` and `parse_prediction` return one shared instance per
+    distinct string, so each distinct span is validated and normalized once.
     """
 
     kind: str
@@ -72,10 +73,6 @@ class LocationValue:
             raise ValidationError("span location needs non-empty text")
         if self.kind != SPAN and self.text:
             raise ValidationError(f"{self.kind} location carries no text")
-
-    @classmethod
-    def span(cls, text: str) -> "LocationValue":
-        return cls(SPAN, text)
 
     @classmethod
     @cache
@@ -104,18 +101,13 @@ class LocationValue:
         return self.text
 
     @cached_property
-    def _key(self) -> tuple:
+    def key(self) -> tuple:
         if self.kind == SPAN:
             return (SPAN, normalize_location(self.text))
         return (self.kind,)
 
-    def key(self) -> tuple:
-        """Comparison key: spans compare after normalization, "-" and "?"
-        only match themselves."""
-        return self._key
-
     def matches(self, other: "LocationValue") -> bool:
-        return self._key == other._key
+        return self.key == other.key
 
 
 NO_LOCATION = LocationValue(NONEXISTENT)

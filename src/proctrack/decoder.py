@@ -29,7 +29,11 @@ class DecodeConfig:
     tau_imp: float = 0.7
 
     def __post_init__(self):
-        if not (0 < self.tau_exp < math.inf and 0 < self.tau_imp < math.inf):
+        try:
+            valid = 0 < self.tau_exp < math.inf and 0 < self.tau_imp < math.inf
+        except TypeError:                   # not a number
+            valid = False
+        if not valid:
             raise ValidationError(f"tau values must be finite and positive, "
                                   f"got ({self.tau_exp}, {self.tau_imp})")
 
@@ -42,19 +46,14 @@ GRID_MAX_VALUES = 1000
 
 @dataclass
 class EmissionTrack:
-    """Model outputs for one entity: a (T, L) logit matrix and T+1 location
-    strings ("none", "unknown", or a span)."""
+    """Model outputs for one entity: a (T, L) matrix of numeric logits (else
+    ValidationError) and T+1 location strings ("none", "unknown", or a span)."""
 
     state_logits: np.ndarray
     location_preds: tuple[str, ...]
 
     def __post_init__(self):
-        try:
-            self.state_logits = np.asarray(self.state_logits, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError("state_logits must be a (T, L) matrix of numbers") from None
-        if self.state_logits.ndim != 2:
-            raise ValidationError("state_logits must be a (T, L) matrix")
+        self.state_logits = _logit_matrix(self.state_logits)
         if not np.isfinite(self.state_logits).all():
             raise ValidationError("state logits must all be finite")
         if len(self.location_preds) != self.state_logits.shape[0] + 1:
@@ -88,15 +87,15 @@ def detect_mentions(procedure: Procedure, entity: Entity) -> tuple[bool, ...]:
     return tuple(flags)
 
 
-def _logit_matrix(state_logits) -> np.ndarray:
-    """state_logits as a float array, which must be a (T, L) matrix."""
+def _logit_matrix(logits, name: str = "state_logits") -> np.ndarray:
+    """The argument `name` as a float array, which must be a (T, L) matrix."""
     try:
-        logits = np.asarray(state_logits, dtype=float)
-    except ValueError:                  # ragged rows
-        logits = np.empty(0)
-    if logits.ndim != 2:
-        raise ValidationError("state_logits must be a (T, L) matrix")
-    return logits
+        matrix = np.asarray(logits, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged rows, non-numbers, huge ints
+        matrix = np.empty(0)
+    if matrix.ndim != 2:
+        raise ValidationError(f"{name} must be a (T, L) matrix")
+    return matrix
 
 
 def weight_emissions(state_logits, flags, config: DecodeConfig) -> np.ndarray:
@@ -123,6 +122,7 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False,
             runner_up: bool = False):
     """Best state sequence under start + emission + transition scores.
 
+    Emissions that are not a (T, L) matrix of numbers raise ValidationError.
     Returns (labels, score). Ties are broken toward the lowest label index
     at every backpointer decision. Raises NoValidPathError when every
     sequence scores -inf; with relax=True it then ranks sequences by fewest
@@ -137,9 +137,7 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False,
     under relax those with the fewest vetoes. It equals score on a tie and
     is -inf when there is no second such sequence.
     """
-    U = np.asarray(emissions, dtype=float)
-    if U.ndim != 2:
-        raise ValidationError("emissions must be a (T, L) matrix")
+    U = _logit_matrix(emissions, "emissions")
     size = model.vocabulary.size
     if U.shape[1] != size:
         raise ValidationError(

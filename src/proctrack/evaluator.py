@@ -95,10 +95,6 @@ def _prf(n_pred: int, n_gold: int, n_correct: int) -> QuestionScore:
     return QuestionScore(precision, recall, f1, n_pred, n_gold, n_correct)
 
 
-def _score_sets(pred: set, gold: set) -> QuestionScore:
-    return _prf(len(pred), len(gold), len(pred & gold))
-
-
 def _check_coverage(gold_grids: dict[str, AnnotationGrid],
                     pred_grids: dict[str, AnnotationGrid]) -> None:
     for proc_id, grid in pred_grids.items():
@@ -121,10 +117,10 @@ def _event_slots(track: Track, event: str, t: int):
     empties slot t - 1 (an entity is destroyed where it last was), and a
     move goes from slot t - 1 to slot t."""
     if event == "create":
-        return track.locations[t].key()
+        return track.locations[t].key
     if event == "destroy":
-        return track.locations[t - 1].key()
-    return track.locations[t - 1].key(), track.locations[t].key()
+        return track.locations[t - 1].key
+    return track.locations[t - 1].key, track.locations[t].key
 
 
 def _document_tuples(grids: dict[str, AnnotationGrid]):
@@ -235,8 +231,8 @@ def _change_tuples(grids: dict[str, AnnotationGrid]) -> set:
     for proc_id, grid in grids.items():
         for entity_id, track in grid.entries.items():
             for t in range(1, track.num_steps + 1):
-                here = track.locations[t].key()
-                if here != track.locations[t - 1].key():
+                here = track.locations[t].key
+                if here != track.locations[t - 1].key:
                     changes.add((proc_id, entity_id, t, here))
     return changes
 
@@ -250,7 +246,8 @@ def eval_recipes_locations(gold_grids: dict[str, AnnotationGrid],
             f"location-change scoring expects the recipes vocabulary, "
             f"got {vocabulary.name!r}")
     _check_coverage(gold_grids, pred_grids)
-    return _score_sets(_change_tuples(pred_grids), _change_tuples(gold_grids))
+    pred, gold = _change_tuples(pred_grids), _change_tuples(gold_grids)
+    return _prf(len(pred), len(gold), len(pred & gold))
 
 
 def eval_split(gold_grids: dict[str, AnnotationGrid],

@@ -22,6 +22,7 @@ from .corpus import (
     LocationValue,
     NO_LOCATION,
     Procedure,
+    SPAN,
     StateVocabulary,
     Track,
     UNKNOWN_LOCATION,
@@ -213,7 +214,7 @@ def _lifecycle(rng, flavor: str, T: int, locations: tuple[str, ...],
     if appear is not None:
         current = NO_LOCATION
     elif start is not None:
-        current = LocationValue.span(start)
+        current = LocationValue(SPAN, start)
         events[1] = ("intro", start)
     else:
         current = UNKNOWN_LOCATION
@@ -227,7 +228,7 @@ def _lifecycle(rng, flavor: str, T: int, locations: tuple[str, ...],
             states.append(labels["appear"])
             if rng.random() < labels["appear_named"]:
                 word = _pick(rng, locations)
-                current = LocationValue.span(word)
+                current = LocationValue(SPAN, word)
             else:
                 word, current = None, UNKNOWN_LOCATION
             events[t] = (labels["appear_event"], word)
@@ -243,7 +244,7 @@ def _lifecycle(rng, flavor: str, T: int, locations: tuple[str, ...],
             states.append(labels["move"])
             word = _pick(rng, locations,
                          exclude=current.text if current.kind == "span" else None)
-            current = LocationValue.span(word)
+            current = LocationValue(SPAN, word)
             slots.append(current)
             events[t] = ("move", word)
         else:

@@ -29,8 +29,11 @@ class TransitionModel:
 
     def __post_init__(self):
         size = self.vocabulary.size
-        self.start_scores = np.asarray(self.start_scores, dtype=float)
-        self.trans_scores = np.asarray(self.trans_scores, dtype=float)
+        try:
+            self.start_scores = np.asarray(self.start_scores, dtype=float)
+            self.trans_scores = np.asarray(self.trans_scores, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # ragged rows, non-numbers, huge ints
+            raise ValidationError("scores must be arrays of numbers") from None
         if self.start_scores.shape != (size,):
             raise ValidationError(f"start_scores must have shape ({size},)")
         if self.trans_scores.shape != (size, size):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from proctrack.consistency import resolve
-from proctrack.corpus import (NO_LOCATION, PROPARA, UNKNOWN_LOCATION, AnnotationGrid,
+from proctrack.corpus import (NO_LOCATION, PROPARA, SPAN, UNKNOWN_LOCATION, AnnotationGrid,
                               LocationValue, StateVocabulary)
 from proctrack.decoder import DecodeConfig, detect_mentions, weight_emissions
 from proctrack.errors import NoValidPathError
@@ -213,7 +213,7 @@ def reference_propara_track(rng, T: int, locations: tuple[str, ...]):
         moves = _sample_event_steps(rng, 2, move_high, (0.40, 0.45, 0.15))
         if rng.random() < 0.5:
             word = _pick(rng, locations)
-            start_loc = LocationValue.span(word)
+            start_loc = LocationValue(SPAN, word)
             events[1] = ("intro", word)
         else:
             start_loc = UNKNOWN_LOCATION
@@ -237,7 +237,7 @@ def reference_propara_track(rng, T: int, locations: tuple[str, ...]):
             states.append("create")
             if rng.random() < 0.8:
                 word = _pick(rng, locations)
-                current = LocationValue.span(word)
+                current = LocationValue(SPAN, word)
                 events[t] = ("create", word)
             else:
                 current = UNKNOWN_LOCATION
@@ -254,7 +254,7 @@ def reference_propara_track(rng, T: int, locations: tuple[str, ...]):
             states.append("move")
             word = _pick(rng, locations,
                          exclude=current.text if current.kind == "span" else None)
-            current = LocationValue.span(word)
+            current = LocationValue(SPAN, word)
             slots.append(current)
             events[t] = ("move", word)
         else:
@@ -289,7 +289,7 @@ def reference_recipes_track(rng, T: int, locations: tuple[str, ...]):
     if add is None:
         if rng.random() < 0.5:
             word = _pick(rng, locations)
-            start_loc = LocationValue.span(word)
+            start_loc = LocationValue(SPAN, word)
             events[1] = ("intro", word)
         else:
             start_loc = UNKNOWN_LOCATION
@@ -315,7 +315,7 @@ def reference_recipes_track(rng, T: int, locations: tuple[str, ...]):
             states.append("exist")
             if rng.random() < 0.85:
                 word = _pick(rng, locations)
-                current = LocationValue.span(word)
+                current = LocationValue(SPAN, word)
                 events[t] = ("add", word)
             else:
                 current = UNKNOWN_LOCATION
@@ -325,7 +325,7 @@ def reference_recipes_track(rng, T: int, locations: tuple[str, ...]):
             states.append("exist")
             word = _pick(rng, locations,
                          exclude=current.text if current.kind == "span" else None)
-            current = LocationValue.span(word)
+            current = LocationValue(SPAN, word)
             slots.append(current)
             events[t] = ("move", word)
         else:

@@ -124,6 +124,8 @@ def test_resolve_validates_shapes():
         resolve(["exist"], ["?"], PROPARA)
     with pytest.raises(ValidationError):
         resolve(["grow"], ["?", "?"], PROPARA)
+    with pytest.raises(ValidationError, match="location predictions must be strings"):
+        resolve(["exist"], [None, None], PROPARA)
 
 
 def test_track_method_returns_valid_grid_row():

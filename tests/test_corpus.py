@@ -107,7 +107,7 @@ def test_interned_values_equal_fresh_ones(text):
         token = LocationValue.from_token(text)
         assert token is LocationValue.from_token(text)
         assert token == LocationValue(SPAN, text)
-        assert token.key() == LocationValue(SPAN, text).key() == (
+        assert token.key == LocationValue(SPAN, text).key == (
             SPAN, normalize_location(text))
     prediction = parse_prediction(text)
     assert prediction is parse_prediction(text)
@@ -118,7 +118,7 @@ def test_interned_values_equal_fresh_ones(text):
         assert prediction is UNKNOWN_LOCATION
     else:
         assert prediction == LocationValue(SPAN, trimmed)
-        assert prediction.key() == (SPAN, normalize_location(trimmed))
+        assert prediction.key == (SPAN, normalize_location(trimmed))
 
 
 @pytest.mark.parametrize("text", [" ", "\t\n", "   "])

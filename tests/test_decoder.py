@@ -162,7 +162,7 @@ def test_config_requires_positive_taus():
         DecodeConfig(tau_exp=0.0, tau_imp=0.7)
     with pytest.raises(ValidationError):
         DecodeConfig(tau_exp=0.6, tau_imp=-0.1)
-    for taus in ((math.inf, 0.7), (0.6, math.inf), (math.nan, 0.7)):
+    for taus in ((math.inf, 0.7), (0.6, math.inf), (math.nan, 0.7), ("a", 0.7)):
         with pytest.raises(ValidationError, match="tau values must be finite and positive"):
             DecodeConfig(*taus)
 
@@ -518,17 +518,26 @@ def test_argmax_states_ties_take_lowest_label():
     assert argmax_states(logits, PROPARA) == ["create", "move"]
 
 
-@pytest.mark.parametrize("decode", [
-    pytest.param(lambda logits: argmax_states(logits, PROPARA), id="argmax_states"),
+@pytest.mark.parametrize("decode, name", [
+    pytest.param(lambda logits: argmax_states(logits, PROPARA), "state_logits",
+                 id="argmax_states"),
     pytest.param(lambda logits: weight_emissions(logits, [True, False], DecodeConfig()),
-                 id="weight_emissions"),
+                 "state_logits", id="weight_emissions"),
+    pytest.param(
+        lambda logits: viterbi(logits, TransitionModel(
+            PROPARA, np.zeros(PROPARA.size), np.zeros((PROPARA.size, PROPARA.size)))),
+        "emissions", id="viterbi"),
+    pytest.param(lambda logits: EmissionTrack(logits, ("?",) * 3), "state_logits",
+                 id="EmissionTrack"),
 ])
 @pytest.mark.parametrize("logits", [
     pytest.param([0.0] * PROPARA.size, id="one-dimensional"),
     pytest.param([[0.0] * PROPARA.size, [0.0] * (PROPARA.size - 1)], id="ragged"),
+    pytest.param([["a"] * PROPARA.size], id="strings"),
+    pytest.param([[10 ** 400] + [0.0] * (PROPARA.size - 1)], id="too-large-int"),
 ])
-def test_logits_that_are_not_a_matrix_are_rejected(decode, logits):
-    with pytest.raises(ValidationError, match=r"^state_logits must be a \(T, L\) matrix$"):
+def test_logits_that_are_not_a_matrix_are_rejected(decode, name, logits):
+    with pytest.raises(ValidationError, match=rf"^{name} must be a \(T, L\) matrix$"):
         decode(logits)
 
 

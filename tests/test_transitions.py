@@ -154,6 +154,14 @@ def test_model_rejects_nan_and_pos_inf():
         TransitionModel(PROPARA, good, bad)
 
 
+def test_model_rejects_scores_that_are_not_numbers():
+    size = PROPARA.size
+    with pytest.raises(ValidationError, match="scores must be arrays of numbers"):
+        TransitionModel(PROPARA, ["a"] * size, np.zeros((size, size)))
+    with pytest.raises(ValidationError, match="scores must be arrays of numbers"):
+        TransitionModel(PROPARA, np.zeros(size), [[0.0] * size] * (size - 1) + [[0.0]])
+
+
 def test_save_load_round_trip_is_exact(tmp_path):
     procedures, grids = make_corpus(12, PROPARA, seed=9)
     model = estimate(grids.values(), PROPARA)
