@@ -55,13 +55,10 @@ class DocumentReport:
     macro_recall: float
     macro_f1: float
 
-    def questions(self) -> dict[str, QuestionScore]:
-        return {
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "conversions": self.conversions,
-            "moves": self.moves,
-        }
+    def counts(self) -> list[tuple[int, int, int]]:
+        """The (n_pred, n_gold, n_correct) rows that `document_report` takes."""
+        return [(q.n_pred, q.n_gold, q.n_correct)
+                for q in (self.inputs, self.outputs, self.conversions, self.moves)]
 
 
 @dataclass(frozen=True)
@@ -250,28 +247,18 @@ def eval_recipes_locations(gold_grids: dict[str, AnnotationGrid],
     return _prf(len(pred), len(gold), len(pred & gold))
 
 
-def eval_split(gold_grids: dict[str, AnnotationGrid],
-               mention_flags: dict[tuple[str, str], tuple[bool, ...]],
-               *pred_states: dict[tuple[str, str], list[str]]) -> tuple[SplitReport, ...]:
-    """Per-step state accuracy of each prediction set, partitioned by the
-    mention flag of the step. Every set covers exactly the flagged entities,
-    and one walk over them fills every report."""
-    unflagged = [key for states in pred_states for key in states if key not in mention_flags]
-    if unflagged:
-        raise ValidationError(f"bad mention flags for {unflagged[0]!r}")
-    total, correct = Counter(), [Counter() for _ in pred_states]
-    for key, flags in mention_flags.items():
-        gold = gold_grids.get(key[0])
-        gold_track = gold.entries.get(key[1]) if gold else None
-        if gold_track is None:
-            raise ValidationError(f"no gold track for {key!r}")
+def eval_split(rows) -> tuple[SplitReport, SplitReport]:
+    """(argmax, decoded) per-step state accuracy, partitioned by the mention
+    flag of the step, from one (gold track, mention flags, argmax states,
+    decoded states) row per decoded entity."""
+    total, correct = Counter(), (Counter(), Counter())
+    for n, (gold_track, flags, argmax, decoded) in enumerate(rows):
         if len(flags) != gold_track.num_steps:
-            raise ValidationError(f"bad mention flags for {key!r}")
-        tracks = [states.get(key, ()) for states in pred_states]
-        if any(len(states) != gold_track.num_steps for states in tracks):
-            raise ValidationError(f"bad state count for {key!r}")
+            raise ValidationError(f"bad mention flags in split row {n}")
+        if not len(argmax) == len(decoded) == gold_track.num_steps:
+            raise ValidationError(f"bad state count in split row {n}")
         total.update(flags)
-        for states, hits in zip(tracks, correct):
+        for states, hits in zip((argmax, decoded), correct):
             hits.update(flag for flag, pred, gold_state in zip(flags, states, gold_track.states)
                         if pred == gold_state)
 
@@ -279,4 +266,4 @@ def eval_split(gold_grids: dict[str, AnnotationGrid],
         return SplitReport(*(BucketAccuracy(hits[flag] / total[flag] if total[flag] else None,
                                             hits[flag], total[flag]) for flag in (True, False)))
 
-    return tuple(map(report, correct))
+    return report(correct[0]), report(correct[1])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import os
+from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
 
 from .consistency import resolve
@@ -133,26 +134,21 @@ def run_pipeline(procedures, gold_grids, emissions, model: TransitionModel,
     # Every procedure with gold gets a grid, empty when all of its entities
     # lacked emissions, so the evaluator counts it against recall.
     pred_grids: dict[str, AnnotationGrid] = {}
-    decoded_states: dict[tuple[str, str], list[str]] = {}
-    raw_states: dict[tuple[str, str], list[str]] = {}
-    flags_map: dict[tuple[str, str], tuple[bool, ...]] = {}
-    repair_counts: dict[str, int] = {}
+    split_rows = []         # (gold track, flags, argmax states, decoded states)
+    repair_counts = Counter()
     for procedure, tracks in units:
         rows = decode_unit(procedure, tracks, model, config, relax)
         proc_id = procedure.id
         grid = pred_grids[proc_id] = AnnotationGrid(proc_id, {})
         for (_, track), (entity_id, states, _score, flags) in zip(tracks, rows):
             resolved = resolve(states, track.location_preds, vocabulary)
-            for repair in resolved.repairs:
-                repair_counts[repair.rule] = repair_counts.get(repair.rule, 0) + 1
+            repair_counts.update(repair.rule for repair in resolved.repairs)
             grid.entries[entity_id] = resolved.track()
-            decoded_states[proc_id, entity_id] = states
-            raw_states[proc_id, entity_id] = argmax_states(track.state_logits,
-                                                           model.vocabulary)
-            flags_map[proc_id, entity_id] = flags
+            split_rows.append((gold_grids[proc_id].entries[entity_id], flags,
+                               argmax_states(track.state_logits, model.vocabulary), states))
 
     scores = score(gold_grids, pred_grids, vocabulary, per_procedure)
-    split_argmax, split_decoded = eval_split(gold_grids, flags_map, raw_states, decoded_states)
+    split_argmax, split_decoded = eval_split(split_rows)
     return PipelineResult(
         **vars(scores),
         pred_grids=pred_grids,

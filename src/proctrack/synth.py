@@ -12,6 +12,7 @@ seeds give byte-identical files.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +57,15 @@ _FILLERS = {
 }
 
 
-def _check_seed(seed: int) -> None:
-    # numpy's generator rejects a negative seed with a bare ValueError.
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+def _check_int(name: str, value, least: int) -> None:
+    # numpy's generator rejects a negative seed with a bare ValueError, and
+    # a non-integer seed or count fails later with a bare TypeError.
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -79,19 +85,24 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        for name, rate in (("state_noise", self.state_noise),
-                           ("location_noise", self.location_noise)):
-            if not 0.0 <= rate < 1.0:
-                raise ValidationError(f"{name} must be in [0, 1), got {rate}")
+        _check_int("seed", self.seed, 0)
         bias = self.corruption_bias or {}
-        for key, extra in bias.items():
-            if key not in _BIAS_KEYS:
-                raise ValidationError(
-                    f"unknown corruption_bias key {key!r}; allowed: {_BIAS_KEYS}")
-            if not extra >= 0:                  # NaN included
-                raise ValidationError(f"corruption_bias[{key!r}] must be >= 0, got {extra}")
-        worst = self.state_noise + max(bias.get("explicit", 0.0), bias.get("implicit", 0.0))
+        if not isinstance(bias, dict):
+            raise ValidationError(f"corruption_bias must be a dict, got {bias!r}")
+        try:
+            for name, rate in (("state_noise", self.state_noise),
+                               ("location_noise", self.location_noise)):
+                if not 0.0 <= rate < 1.0:
+                    raise ValidationError(f"{name} must be in [0, 1), got {rate}")
+            for key, extra in bias.items():
+                if key not in _BIAS_KEYS:
+                    raise ValidationError(
+                        f"unknown corruption_bias key {key!r}; allowed: {_BIAS_KEYS}")
+                if not extra >= 0:                  # NaN included
+                    raise ValidationError(f"corruption_bias[{key!r}] must be >= 0, got {extra}")
+            worst = max(self.effective_state_noise(True), self.effective_state_noise(False))
+        except TypeError:                           # a rate that is not a number
+            raise ValidationError(f"noise rates must be numbers, got {self}") from None
         if worst >= 1.0:
             raise ValidationError(
                 f"biased state noise can reach {worst}, which is outside [0, 1)")
@@ -353,9 +364,8 @@ def make_corpus(n_procedures: int, vocabulary: StateVocabulary, seed: int):
     if vocabulary.name not in _ENTITY_WORDS:
         raise ValidationError(
             f"no generator recipe for vocabulary {vocabulary.name!r}")
-    if n_procedures < 1:
-        raise ValidationError("n_procedures must be >= 1")
-    _check_seed(seed)
+    _check_int("n_procedures", n_procedures, 1)
+    _check_int("seed", seed, 0)
     flavor = vocabulary.name
     rng = np.random.default_rng(seed)
     sample_track = _propara_track if flavor == "propara" else _recipes_track

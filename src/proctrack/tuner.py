@@ -110,10 +110,6 @@ class TuneResult:
     table: tuple[tuple[float, float, float], ...]
 
 
-def _counts(report):
-    return [(q.n_pred, q.n_gold, q.n_correct) for q in report.questions().values()]
-
-
 def _exact(values):
     """`values` as integers in one common power-of-two unit: exact, and in
     the same order and ratios as the floats."""
@@ -218,8 +214,12 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
     if not taus:
         raise ValidationError("tuning grid must be non-empty")
     for tau in taus:
-        if not tau > 0:
-            raise ValidationError(f"tuning grid values must be positive, got {tau}")
+        try:
+            valid = math.isfinite(tau) and tau > 0
+        except (TypeError, OverflowError):  # not a number, or beyond a float
+            valid = False
+        if not valid:
+            raise ValidationError(f"tuning grid values must be finite and positive, got {tau!r}")
     values = sorted(set(taus))
     cells = [(tau_exp, tau_imp) for tau_exp in values for tau_imp in values]
 
@@ -228,8 +228,8 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
     # every cell.
     joined, _ = join(procedures, gold_grids, emissions)
     with_tracks = {procedure.id for procedure, tracks in joined if tracks}
-    fixed = _counts(eval_document_level(
-        {pid: gold for pid, gold in gold_grids.items() if pid not in with_tracks}, {}))
+    fixed = eval_document_level(
+        {pid: gold for pid, gold in gold_grids.items() if pid not in with_tracks}, {}).counts()
     totals = np.array([fixed] * len(cells))
     for procedure, tracks in joined:
         if not tracks:
@@ -245,8 +245,8 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
                 scored[combination] = len(counts)
                 entries = {entity_id: tracks_of[i] for entity_id, tracks_of, i
                            in zip(entity_ids, paths, combination)}
-                counts.append(_counts(eval_document_level(
-                    {pid: gold_grids[pid]}, {pid: AnnotationGrid(pid, entries)})))
+                counts.append(eval_document_level(
+                    {pid: gold_grids[pid]}, {pid: AnnotationGrid(pid, entries)}).counts())
             index.append(scored[combination])
         totals += np.array(counts)[index]
 

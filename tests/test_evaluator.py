@@ -13,6 +13,7 @@ from proctrack.corpus import (
 )
 from proctrack.errors import ValidationError
 from proctrack.evaluator import (
+    document_report,
     eval_document_level,
     eval_recipes_locations,
     eval_sentence_level,
@@ -53,13 +54,20 @@ def _no_events_grid():
 def test_document_identity_is_perfect():
     gold = _conversion_grid()
     report = eval_document_level(gold, gold)
-    for score in report.questions().values():
+    for score in (report.inputs, report.outputs, report.conversions, report.moves):
         assert score.precision == 1.0
         assert score.recall == 1.0
         assert score.f1 == 1.0
     assert report.macro_f1 == 1.0
     assert report.macro_precision == 1.0
     assert report.macro_recall == 1.0
+
+
+def test_document_report_is_rebuilt_from_its_counts():
+    gold = _conversion_grid()
+    report = eval_document_level(gold, _no_events_grid())
+    assert report.counts() == [(0, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0)]
+    assert document_report(report.counts()) == report
 
 
 def test_document_events_extracted_from_hand_grid():
@@ -226,73 +234,46 @@ def test_recipes_scorer_rejects_other_vocabularies():
 
 
 def test_split_buckets_by_mention_flag():
-    gold = {
-        "mix": AnnotationGrid(
-            procedure_id="mix",
-            entries={
-                "A": _track(
-                    ["create", "exist", "move"], ["-", "soil", "soil", "pond"]
-                )
-            },
-        )
-    }
-    (report,) = eval_split(
-        gold,
-        {("mix", "A"): (True, False, True)},
-        {("mix", "A"): ["create", "move", "move"]},
-    )
-    assert report.explicit.accuracy == 1.0
-    assert (report.explicit.n_correct, report.explicit.n_steps) == (2, 2)
-    assert report.implicit.accuracy == 0.0
-    assert (report.implicit.n_correct, report.implicit.n_steps) == (0, 1)
+    gold = _track(["create", "exist", "move"], ["-", "soil", "soil", "pond"])
+    argmax, decoded = eval_split(
+        [(gold, (True, False, True), ["create", "move", "move"], ["create", "exist", "move"])])
+    assert argmax.explicit.accuracy == 1.0
+    assert (argmax.explicit.n_correct, argmax.explicit.n_steps) == (2, 2)
+    assert argmax.implicit.accuracy == 0.0
+    assert (argmax.implicit.n_correct, argmax.implicit.n_steps) == (0, 1)
+    assert (decoded.explicit.accuracy, decoded.implicit.accuracy) == (1.0, 1.0)
 
 
 def test_split_empty_bucket_has_no_accuracy():
-    gold = {
-        "mix": AnnotationGrid(
-            procedure_id="mix",
-            entries={"A": _track(["exist"], ["?", "?"])},
-        )
-    }
-    (report,) = eval_split(gold, {("mix", "A"): (True,)}, {("mix", "A"): ["exist"]})
-    assert report.explicit.accuracy == 1.0
-    assert report.implicit.accuracy is None
-    assert report.implicit.n_steps == 0
+    gold = _track(["exist"], ["?", "?"])
+    argmax, _ = eval_split([(gold, (True,), ["exist"], ["exist"])])
+    assert argmax.explicit.accuracy == 1.0
+    assert argmax.implicit.accuracy is None
+    assert argmax.implicit.n_steps == 0
 
 
 def test_split_scores_every_prediction_set_in_one_call():
-    gold = {"mix": AnnotationGrid("mix", {
-        "A": _track(["create", "exist", "move"], ["-", "soil", "soil", "pond"]),
-        "B": _track(["exist", "destroy", "none"], ["?", "?", "-", "-"]),
-    })}
-    flags = {("mix", "A"): (True, False, True), ("mix", "B"): (False, False, True)}
-    first = {("mix", "A"): ["create", "move", "move"], ("mix", "B"): ["exist", "exist", "none"]}
-    second = {("mix", "A"): ["exist", "exist", "move"], ("mix", "B"): ["move", "destroy", "none"]}
-    together = eval_split(gold, flags, first, second)
-    assert together == eval_split(gold, flags, first) + eval_split(gold, flags, second)
-    assert (together[1].explicit.n_correct, together[1].implicit.n_correct) == (2, 2)
+    gold_a = _track(["create", "exist", "move"], ["-", "soil", "soil", "pond"])
+    gold_b = _track(["exist", "destroy", "none"], ["?", "?", "-", "-"])
+    first, second = eval_split([
+        (gold_a, (True, False, True), ["create", "move", "move"], ["exist", "exist", "move"]),
+        (gold_b, (False, False, True), ["exist", "exist", "none"], ["move", "destroy", "none"]),
+    ])
+    assert (first.explicit.n_correct, first.implicit.n_correct) == (3, 1)
+    assert (second.explicit.n_correct, second.implicit.n_correct) == (2, 2)
 
 
 @pytest.mark.parametrize("flags, states, message", [
-    ((True, False), ["create", "exist", "move"], "bad mention flags for ('mix', 'A')"),
-    ((True, False, True), ["create", "exist"], "bad state count for ('mix', 'A')"),
+    ((True, False), ["create", "exist", "move"], "bad mention flags in split row 1"),
+    ((True, False, True), ["create", "exist"], "bad state count in split row 1"),
     ((True, False, True), ["create", "exist", "move", "move"],
-     "bad state count for ('mix', 'A')"),
+     "bad state count in split row 1"),
 ])
 def test_split_rejects_a_track_whose_length_differs_from_gold(flags, states, message):
-    gold = {"mix": AnnotationGrid("mix", {
-        "A": _track(["create", "exist", "move"], ["-", "soil", "soil", "pond"])})}
-    good = {("mix", "A"): ["create", "exist", "move"]}
+    gold = _track(["create", "exist", "move"], ["-", "soil", "soil", "pond"])
+    good = ["create", "exist", "move"]
     with pytest.raises(ValidationError, match=re.escape(message)):
-        eval_split(gold, {("mix", "A"): flags}, good, {("mix", "A"): states})
-
-
-def test_split_rejects_a_prediction_without_mention_flags():
-    gold = {"mix": AnnotationGrid("mix", {
-        "A": _track(["create", "exist", "move"], ["-", "soil", "soil", "pond"])})}
-    states = {("mix", "A"): ["create", "exist", "move"], ("mix", "B"): ["exist"] * 3}
-    with pytest.raises(ValidationError, match=re.escape("bad mention flags for ('mix', 'B')")):
-        eval_split(gold, {("mix", "A"): (True, False, True)}, states)
+        eval_split([(gold, (True, False, True), good, good), (gold, flags, good, states)])
 
 
 def test_generated_corpus_identity_scores_perfect():

@@ -67,6 +67,11 @@ def test_missing_emissions_cost_recall_but_never_crash():
     assert victim_entity not in result.pred_grids[victim.id].entries
     payload = report_dict(result)
     assert payload["coverage"]["missing_emissions"] == 1
+    # The mention split covers exactly the decoded entities.
+    decoded_steps = sum(track.num_steps for grid in result.pred_grids.values()
+                        for track in grid.entries.values())
+    for split in (result.split_argmax, result.split_decoded):
+        assert split.explicit.n_steps + split.implicit.n_steps == decoded_steps
 
 
 def test_a_run_without_emissions_decodes_nothing():

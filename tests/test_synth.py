@@ -1,6 +1,7 @@
 """Synthetic corpus generator and noisy emission oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,18 @@ def test_make_corpus_is_deterministic():
 def test_make_corpus_rejects_a_negative_seed():
     with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
         make_corpus(6, PROPARA, seed=-1)
+
+
+@pytest.mark.parametrize("n_procedures, seed, message", [
+    ("3", 1, "n_procedures must be an integer, got '3'"),
+    (2.0, 1, "n_procedures must be an integer, got 2.0"),
+    (0, 1, "n_procedures must be >= 1, got 0"),
+    (3, 1.5, "seed must be an integer, got 1.5"),
+    (3, "a", "seed must be an integer, got 'a'"),
+])
+def test_make_corpus_rejects_a_non_integer_count_or_seed(n_procedures, seed, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make_corpus(n_procedures, PROPARA, seed)
 
 
 @settings(max_examples=25, deadline=None)
@@ -92,6 +105,11 @@ def test_oracle_config_validates_rates():
         OracleConfig(state_noise=0.8, corruption_bias={"implicit": 0.3})
     with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
         OracleConfig(seed=-1)
+    for bad in ({"state_noise": "a"}, {"location_noise": None},
+                {"corruption_bias": {"implicit": "a"}}, {"corruption_bias": [1]},
+                {"seed": "a"}, {"seed": 1.5}):
+        with pytest.raises(ValidationError):
+            OracleConfig(**bad)
 
 
 def test_effective_noise_composes_bias_terms():
