@@ -12,23 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import (
-    NO_LOCATION,
-    NONEXISTENT,
-    UNKNOWN_LOCATION,
+from .corpus import (  # the RULE_* repair names are re-exported
+    RULE_CREATE_AFTER,
+    RULE_CREATE_BEFORE,
+    RULE_EXIST,
+    RULE_MOVE,
+    RULE_NONEXISTENT,
+    RULE_START,
     LocationValue,
     StateVocabulary,
     Track,
+    coupling_breaks,
     parse_prediction,
 )
 from .errors import ValidationError
-
-RULE_START = "start-nonexistent"
-RULE_CREATE_BEFORE = "create-clears-before"
-RULE_CREATE_AFTER = "create-yields-location"
-RULE_NONEXISTENT = "nonexistent-state"
-RULE_EXIST = "exist-keeps-location"
-RULE_MOVE = "move-requires-change"
 
 
 @dataclass(frozen=True)
@@ -50,16 +47,11 @@ class ResolvedTrack:
 
 
 def resolve(states, location_preds, vocabulary: StateVocabulary) -> ResolvedTrack:
-    """Forward pass over slots 0..T, repairing locations to fit the states.
+    """Forward pass over steps 1..T, repairing locations to fit the states.
 
-    Rules, in application order per slot:
-      * slot 0 is "-" when step 1 creates the entity or it starts outside;
-      * create: the previous slot is forced to "-" and the created location
-        must exist, upgrading a predicted "none" to "unknown";
-      * destroy and nonexistent states force "-";
-      * exist copies the previous slot (only for vocabularies with "move");
-      * move must land somewhere new: a prediction equal to the previous
-        slot, or "none", degrades to "unknown".
+    Each coupling rule that step t breaks (`corpus.coupling_breaks`, on the
+    repaired slot t-1 and the predicted slot t) overwrites its slot with the
+    value the rule requires and is recorded as a Repair under its repair name.
 
     The state sequence is never altered; it comes back as the vocabulary's
     own label objects (`canonical`). Output satisfies the grid rules for
@@ -76,47 +68,15 @@ def resolve(states, location_preds, vocabulary: StateVocabulary) -> ResolvedTrac
     states = vocabulary.canonical(states)
 
     try:
-        parsed = [parse_prediction(p) for p in location_preds]
+        locations = [parse_prediction(p) for p in location_preds]
     except (AttributeError, TypeError):     # not a string
         raise ValidationError("location predictions must be strings") from None
-    locations: list[LocationValue] = [None] * len(parsed)
     repairs: list[Repair] = []
-
-    def fix(slot, original, repaired, rule):
-        if not original.matches(repaired):
-            repairs.append(Repair(slot, original, repaired, rule))
-        locations[slot] = repaired
-
-    if states[0] in ("outside_before", "create"):
-        fix(0, parsed[0], NO_LOCATION, RULE_START)
-    else:
-        locations[0] = parsed[0]
-
     for t, state in enumerate(states, start=1):
-        value = parsed[t]
-        if state == "create":
-            if locations[t - 1].kind != NONEXISTENT:
-                fix(t - 1, locations[t - 1], NO_LOCATION, RULE_CREATE_BEFORE)
-            if value.kind == NONEXISTENT:
-                fix(t, value, UNKNOWN_LOCATION, RULE_CREATE_AFTER)
-            else:
-                locations[t] = value
-        elif state == "destroy" or state in vocabulary.nonexistent_states:
-            fix(t, value, NO_LOCATION, RULE_NONEXISTENT)
-        elif state == "exist" and vocabulary.tracks_movement:
-            if value.matches(locations[t - 1]):
-                locations[t] = value
-            else:
-                fix(t, value, locations[t - 1], RULE_EXIST)
-        elif state == "move":
-            if value.kind == NONEXISTENT or value.matches(locations[t - 1]):
-                fix(t, value, UNKNOWN_LOCATION, RULE_MOVE)
-            else:
-                locations[t] = value
-        else:
-            # No coupling rule for this state (e.g. free-moving "exist" in a
-            # vocabulary without "move"): trust the prediction.
-            locations[t] = value
+        for slot, required, rule, _, _ in coupling_breaks(
+                t, state, locations[t - 1], locations[t], vocabulary):
+            repairs.append(Repair(slot, locations[slot], required, rule))
+            locations[slot] = required
 
     return ResolvedTrack(
         states=states,

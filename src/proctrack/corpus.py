@@ -179,7 +179,7 @@ class StateVocabulary:
     def size(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def tracks_movement(self) -> bool:
         """Whether "exist" means "did not move" (only when "move" is a label).
 
@@ -302,51 +302,69 @@ class Violation:
     message: str
 
 
+# Repair names: `resolve` records them and report.json counts them. A
+# violation carries the same name unless `coupling_breaks` gives another.
+RULE_START = "start-nonexistent"
+RULE_CREATE_BEFORE = "create-clears-before"
+RULE_CREATE_AFTER = "create-yields-location"
+RULE_NONEXISTENT = "nonexistent-state"
+RULE_EXIST = "exist-keeps-location"
+RULE_MOVE = "move-requires-change"
+
+
+def coupling_breaks(t, state, prev, value, vocabulary: StateVocabulary) -> list[tuple]:
+    """The coupling rules that step t's `state` breaks on slots t-1 (`prev`)
+    and t (`value`), in order, as (slot, required value, repair name,
+    violation name, message).
+
+    Spans compare after normalization. A move from "?" to "?" is legal: an
+    unknown place may still be a new one. Without a "move" label, "exist"
+    may change location freely (`tracks_movement`).
+    """
+    breaks = []
+    if state == "outside_before" and t == 1 and prev.kind != NONEXISTENT:
+        breaks.append((0, NO_LOCATION, RULE_START, RULE_START,
+                       f"outside_before at step 1 requires slot 0 to be '-', got {prev.token()!r}"))
+    if state == "create":
+        if prev.kind != NONEXISTENT:
+            breaks.append((t - 1, NO_LOCATION, RULE_START if t == 1 else RULE_CREATE_BEFORE,
+                           RULE_CREATE_BEFORE, f"create at step {t} requires slot {t - 1} "
+                           f"to be '-', got {prev.token()!r}"))
+        if value.kind == NONEXISTENT:
+            breaks.append((t, UNKNOWN_LOCATION, RULE_CREATE_AFTER, RULE_CREATE_AFTER,
+                           f"create at step {t} forbids location '-' at slot {t}"))
+    elif state == "destroy" or state in vocabulary.nonexistent_states:
+        if value.kind != NONEXISTENT:
+            breaks.append((t, NO_LOCATION, RULE_NONEXISTENT, "nonexistent-state-location",
+                           f"state {state!r} at step {t} requires location '-', "
+                           f"got {value.token()!r}"))
+    elif state == "exist" and vocabulary.tracks_movement:
+        if not value.matches(prev):
+            breaks.append((t, prev, RULE_EXIST, RULE_EXIST,
+                           f"exist at step {t} requires slot {t} to repeat slot "
+                           f"{t - 1} ({prev.token()!r}), got {value.token()!r}"))
+    elif state == "move":
+        if value.kind == NONEXISTENT:
+            breaks.append((t, UNKNOWN_LOCATION, RULE_MOVE, "move-needs-location",
+                           f"move at step {t} forbids location '-' at slot {t}"))
+        elif value.kind == SPAN and value.matches(prev):
+            breaks.append((t, UNKNOWN_LOCATION, RULE_MOVE, RULE_MOVE,
+                           f"move at step {t} requires slot {t} to differ from slot "
+                           f"{t - 1}, got {value.token()!r} after {prev.token()!r}"))
+    return breaks
+
+
 def track_violations(track: Track, vocabulary: StateVocabulary,
                      entity_id: str = "") -> list[Violation]:
-    """Check the state/location coupling rules for one track.
+    """The coupling rules (`coupling_breaks`) that one track breaks.
 
-    Slot indices in messages are location slots (0..T); rule checks hang off
-    the step t = 1..T whose state constrains slots t-1 and t.
+    Slot indices in messages are location slots (0..T); each violation hangs
+    off the step t = 1..T whose state constrains slots t-1 and t.
     """
-    found = []
-    states, locs = track.states, track.locations
-    nonexistent, keeps_location = vocabulary.nonexistent_states, vocabulary.tracks_movement
-
-    def bad(step, rule, msg):
-        found.append(Violation(entity_id, step, rule, msg))
-
-    if states and states[0] == "outside_before" and locs[0].kind != NONEXISTENT:
-        bad(1, "start-nonexistent",
-            f"outside_before at step 1 requires slot 0 to be '-', got {locs[0].token()!r}")
-    for t, state in enumerate(states, start=1):
-        if state in nonexistent or state == "destroy":
-            if locs[t].kind != NONEXISTENT:
-                bad(t, "nonexistent-state-location",
-                    f"state {state!r} at step {t} requires location '-', "
-                    f"got {locs[t].token()!r}")
-        if state == "create":
-            if locs[t - 1].kind != NONEXISTENT:
-                bad(t, "create-clears-before",
-                    f"create at step {t} requires slot {t - 1} to be '-', "
-                    f"got {locs[t - 1].token()!r}")
-            if locs[t].kind == NONEXISTENT:
-                bad(t, "create-yields-location",
-                    f"create at step {t} forbids location '-' at slot {t}")
-        if state == "exist" and keeps_location:
-            if not locs[t].matches(locs[t - 1]):
-                bad(t, "exist-keeps-location",
-                    f"exist at step {t} requires slot {t} to repeat slot "
-                    f"{t - 1} ({locs[t - 1].token()!r}), got {locs[t].token()!r}")
-        if state == "move":
-            if locs[t].kind == NONEXISTENT:
-                bad(t, "move-needs-location",
-                    f"move at step {t} forbids location '-' at slot {t}")
-            elif locs[t].kind == SPAN and locs[t].matches(locs[t - 1]):
-                bad(t, "move-requires-change",
-                    f"move at step {t} requires slot {t} to differ from slot "
-                    f"{t - 1}, got {locs[t].token()!r} after {locs[t - 1].token()!r}")
-    return found
+    locs = track.locations
+    return [Violation(entity_id, t, rule, message)
+            for t, (state, prev, value) in enumerate(zip(track.states, locs, locs[1:]), start=1)
+            for _, _, _, rule, message in coupling_breaks(t, state, prev, value, vocabulary)]
 
 
 def grid_violations(grid: AnnotationGrid, vocabulary: StateVocabulary) -> list[Violation]:

@@ -104,7 +104,7 @@ def weight_emissions(state_logits, flags, config: DecodeConfig) -> np.ndarray:
     if len(flags) != logits.shape[0]:
         raise ValidationError(
             f"{len(flags)} mention flags for {logits.shape[0]} steps")
-    taus = np.where(np.asarray(flags, dtype=bool), config.tau_exp, config.tau_imp)
+    taus = np.where(np.asarray(flags, dtype=bool), float(config.tau_exp), float(config.tau_imp))
     return logits * taus[:, None]
 
 

@@ -222,6 +222,7 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
             raise ValidationError(f"tuning grid values must be finite and positive, got {tau!r}")
     values = sorted(set(taus))
     cells = [(tau_exp, tau_imp) for tau_exp in values for tau_imp in values]
+    floats = [float(value) for value in values]     # the table keeps the caller's values
 
     # Per cell, (n_pred, n_gold, n_correct) for each question, summed over
     # procedures. Gold procedures without any emissions score the same in
@@ -237,7 +238,7 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
         pid = procedure.id
         entity_ids = [entity_id for entity_id, _ in tracks]
         paths, columns = zip(*(
-            _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
+            _entity_paths(procedure, entity_id, track, floats, model, vocabulary, relax)
             for entity_id, track in tracks))
         scored, counts, index = {}, [], []  # index: per cell, into the distinct counts
         for combination in zip(*columns):

@@ -23,7 +23,9 @@ from proctrack.corpus import (
     PROPARA,
     RECIPES,
     AnnotationGrid,
+    Track,
     load_corpus,
+    parse_prediction,
     track_violations,
 )
 from proctrack.errors import ValidationError
@@ -151,13 +153,24 @@ def test_gold_locations_round_trip_without_repairs():
             )
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=100_000))
-def test_fuzzed_resolves_never_violate_grid_rules(seed):
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["walk", "propara", "recipes"]))
+def test_fuzzed_resolves_never_violate_grid_rules(seed, source):
+    # States come from a walk along the fixture model's edges, or are any
+    # labels of either vocabulary.
     rng = np.random.default_rng(seed)
-    model = load_model(MODEL_PROPARA)
     n_steps = int(rng.integers(1, 9))
-    states = random_walk_states(rng, model, n_steps)
+    if source == "walk":
+        vocabulary, states = PROPARA, random_walk_states(rng, load_model(MODEL_PROPARA), n_steps)
+    else:
+        vocabulary = PROPARA if source == "propara" else RECIPES
+        states = [str(rng.choice(vocabulary.labels)) for _ in range(n_steps)]
     preds = random_location_preds(rng, len(states) + 1)
-    resolved = resolve(states, preds, PROPARA)
-    assert track_violations(resolved.track(), PROPARA, entity_id="e0") == []
+    resolved = resolve(states, preds, vocabulary)
+    # A repair is recorded exactly when the predictions break a rule.
+    raw = Track(tuple(states), tuple(map(parse_prediction, preds)))
+    assert (resolved.repairs == ()) == (track_violations(raw, vocabulary) == [])
+    # Excluded: any propara labels may admit no consistent locations at all
+    # (create right after move), and those are repaired best-effort.
+    if source != "propara":
+        assert track_violations(resolved.track(), vocabulary, entity_id="e0") == []

@@ -151,23 +151,33 @@ def test_fixture_corpus_is_consistent():
         assert not grid_violations(grids[procedure.id], PROPARA)
 
 
-# One track per rule of `track_violations` that breaks that rule alone.
+# One track per rule of `track_violations` that breaks that rule alone, and
+# the message `load_corpus` shows for it.
 RULE_BREAKERS = {
-    "start-nonexistent": (["outside_before"], ["soil", "-"]),
-    "nonexistent-state-location": (["destroy"], ["soil", "soil"]),
-    "create-clears-before": (["create"], ["soil", "soil"]),
-    "create-yields-location": (["create"], ["-", "-"]),
-    "exist-keeps-location": (["exist"], ["soil", "rock"]),
-    "move-needs-location": (["move"], ["soil", "-"]),
-    "move-requires-change": (["move"], ["soil", " Soil."]),
+    "start-nonexistent": (["outside_before"], ["soil", "-"],
+                          "outside_before at step 1 requires slot 0 to be '-', got 'soil'"),
+    "nonexistent-state-location": (["destroy"], ["soil", "soil"],
+                                   "state 'destroy' at step 1 requires location '-', got 'soil'"),
+    "create-clears-before": (["create"], ["soil", "soil"],
+                             "create at step 1 requires slot 0 to be '-', got 'soil'"),
+    "create-yields-location": (["create"], ["-", "-"],
+                               "create at step 1 forbids location '-' at slot 1"),
+    "exist-keeps-location": (["exist"], ["soil", "rock"],
+                             "exist at step 1 requires slot 1 to repeat slot 0 ('soil'), "
+                             "got 'rock'"),
+    "move-needs-location": (["move"], ["soil", "-"],
+                            "move at step 1 forbids location '-' at slot 1"),
+    "move-requires-change": (["move"], ["soil", " Soil."],
+                             "move at step 1 requires slot 1 to differ from slot 0, "
+                             "got ' Soil.' after 'soil'"),
 }
 
 
 @pytest.mark.parametrize("rule", RULE_BREAKERS)
 def test_each_gold_rule_fires_alone(rule):
-    states, locations = RULE_BREAKERS[rule]
+    states, locations, message = RULE_BREAKERS[rule]
     track = Track(tuple(states), tuple(map(LocationValue.from_token, locations)))
-    assert [v.rule for v in track_violations(track, PROPARA)] == [rule]
+    assert [(v.rule, v.message) for v in track_violations(track, PROPARA)] == [(rule, message)]
 
 
 def test_unknown_to_unknown_move_is_legal():

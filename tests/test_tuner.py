@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -370,6 +371,19 @@ def test_each_distinct_count_row_is_scored_once(monkeypatch):
     emissions = load_emissions(EMISSIONS_PROPARA, procedures, PROPARA)
     result = tune(procedures, grids, emissions, load_model(MODEL_PROPARA), PROPARA)
     assert len(rows) == len(set(rows)) < len(result.table)
+
+
+@pytest.mark.parametrize("kind", [float, Decimal, Fraction, np.float32])
+def test_a_grid_of_any_real_type_tunes_as_floats(kind):
+    # Every value is a float exactly, so each type names the same cells.
+    procedures, grids, model, emissions = _setup(n=2)
+    values = (0.25, 0.5, 1.25)
+    grid = [kind(str(v)) if kind is Decimal else kind(v) for v in values]
+    as_floats = tune(procedures, grids, emissions, model, PROPARA, grid=values)
+    result = tune(procedures, grids, emissions, model, PROPARA, grid=grid)
+    assert [f1 for _, _, f1 in result.table] == [f1 for _, _, f1 in as_floats.table]
+    assert result.table[0][:2] == (grid[0], grid[0])
+    assert all(type(tau) is kind for row in result.table for tau in row[:2])
 
 
 def test_grid_validation():
