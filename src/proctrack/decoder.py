@@ -29,9 +29,11 @@ class DecodeConfig:
     tau_imp: float = 0.7
 
     def __post_init__(self):
-        try:
-            valid = 0 < self.tau_exp < math.inf and 0 < self.tau_imp < math.inf
-        except TypeError:                   # not a number
+        try:    # float() takes any real number (int, Decimal, Fraction, numpy) and a str
+            valid = (not isinstance(self.tau_exp, (str, bytes))
+                     and not isinstance(self.tau_imp, (str, bytes))
+                     and 0 < float(self.tau_exp) < math.inf and 0 < float(self.tau_imp) < math.inf)
+        except (TypeError, ValueError, ArithmeticError):   # not a number, sNaN, beyond a float
             valid = False
         if not valid:
             raise ValidationError(f"tau values must be finite and positive, "

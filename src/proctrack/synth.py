@@ -101,7 +101,7 @@ class OracleConfig:
                 if not extra >= 0:                  # NaN included
                     raise ValidationError(f"corruption_bias[{key!r}] must be >= 0, got {extra}")
             worst = max(self.effective_state_noise(True), self.effective_state_noise(False))
-        except TypeError:                           # a rate that is not a number
+        except (TypeError, ArithmeticError):        # not a number, or a Decimal NaN
             raise ValidationError(f"noise rates must be numbers, got {self}") from None
         if worst >= 1.0:
             raise ValidationError(

@@ -11,6 +11,7 @@ import json
 import numbers
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -79,41 +80,24 @@ def estimate(grids, vocabulary: StateVocabulary) -> TransitionModel:
     nothing. Raises if there are no sequences at all.
     """
     size = vocabulary.size
-    start_counts = np.zeros(size, dtype=int)
-    trans_counts = np.zeros((size, size), dtype=int)
-    sequences = 0
-    for grid in grids:
-        for entity_id, track in grid.entries.items():
-            idx = [vocabulary.index(s) for s in track.states]
-            if not idx:
-                continue
-            sequences += 1
-            start_counts[idx[0]] += 1
-            for a, b in zip(idx, idx[1:]):
-                trans_counts[a, b] += 1
+    # Each track's label indices behind a start marker `size`: a pair (size, q)
+    # is a start at q, and a pair into the marker (after an empty track too)
+    # is dropped.
+    labels = np.fromiter(chain.from_iterable(
+        (size, *map(vocabulary.index, track.states))
+        for grid in grids for track in grid.entries.values()), dtype=int)
+    counts = np.bincount(labels[:-1] * (size + 1) + labels[1:], minlength=(size + 1) ** 2)
+    counts = counts.reshape(size + 1, size + 1)[:, :size]
+    totals = counts.sum(axis=1, keepdims=True)
+    sequences = int(totals[size, 0])
     if sequences == 0:
         raise ValidationError("cannot estimate transitions from an empty corpus")
-
-    start_scores = np.full(size, -np.inf)
-    seen = start_counts > 0
-    start_scores[seen] = np.log(start_counts[seen] / sequences)
-
-    trans_scores = np.full((size, size), -np.inf)
-    row_totals = trans_counts.sum(axis=1)
-    for i in range(size):
-        if row_totals[i] == 0:
-            continue
-        seen = trans_counts[i] > 0
-        trans_scores[i, seen] = np.log(trans_counts[i, seen] / row_totals[i])
-
-    return TransitionModel(
-        vocabulary=vocabulary,
-        start_scores=start_scores,
-        trans_scores=trans_scores,
-        start_counts=start_counts,
-        trans_counts=trans_counts,
-        sequence_count=sequences,
-    )
+    # An unseen start or pair scores log(0) = -inf; a row no pair leaves is 0 / 1.
+    with np.errstate(divide="ignore"):
+        scores = np.log(counts / np.maximum(totals, 1))
+    return TransitionModel(vocabulary, start_scores=scores[size], trans_scores=scores[:size],
+                           start_counts=counts[size], trans_counts=counts[:size],
+                           sequence_count=sequences)
 
 
 def veto_counts(model: TransitionModel, num_steps: int) -> np.ndarray:
@@ -139,14 +123,9 @@ def audit_rare_transitions(model: TransitionModel, min_count: int):
     """
     if min_count < 1:
         raise ValidationError(f"min_count must be >= 1, got {min_count}")
-    labels = model.vocabulary.labels
-    rare = []
-    for i, p in enumerate(labels):
-        for j, q in enumerate(labels):
-            count = int(model.trans_counts[i, j])
-            if 0 < count < min_count:
-                rare.append((p, q, count))
-    return rare
+    labels, counts = model.vocabulary.labels, model.trans_counts
+    return [(labels[i], labels[j], int(counts[i, j]))
+            for i, j in np.argwhere((counts > 0) & (counts < min_count)).tolist()]
 
 
 def _encode_score(value: float):

@@ -214,12 +214,7 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
     if not taus:
         raise ValidationError("tuning grid must be non-empty")
     for tau in taus:
-        try:
-            valid = math.isfinite(tau) and tau > 0
-        except (TypeError, OverflowError):  # not a number, or beyond a float
-            valid = False
-        if not valid:
-            raise ValidationError(f"tuning grid values must be finite and positive, got {tau!r}")
+        DecodeConfig(tau, tau)                      # raises for a value that is no tau
     values = sorted(set(taus))
     cells = [(tau_exp, tau_imp) for tau_exp in values for tau_imp in values]
     floats = [float(value) for value in values]     # the table keeps the caller's values

@@ -45,6 +45,7 @@ def test_estimate_transitions_round_trips(tmp_path):
     out = tmp_path / "model.json"
     code = main(["estimate-transitions", *_corpus_args(), "--out", str(out)])
     assert code == EXIT_OK
+    assert out.read_bytes() == MODEL_PROPARA.read_bytes()
     model = load_model(out)
     reference = load_model(MODEL_PROPARA)
     assert np.array_equal(model.trans_scores, reference.trans_scores)

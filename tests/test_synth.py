@@ -2,6 +2,7 @@
 
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -107,7 +108,8 @@ def test_oracle_config_validates_rates():
         OracleConfig(seed=-1)
     for bad in ({"state_noise": "a"}, {"location_noise": None},
                 {"corruption_bias": {"implicit": "a"}}, {"corruption_bias": [1]},
-                {"seed": "a"}, {"seed": 1.5}):
+                {"seed": "a"}, {"seed": 1.5}, {"state_noise": Decimal("NaN")},
+                {"location_noise": Decimal("sNaN")}):
         with pytest.raises(ValidationError):
             OracleConfig(**bad)
 

@@ -1,14 +1,16 @@
 """Transition estimation: log relative frequencies, hard -inf, audits, I/O."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import MODEL_PROPARA, fuzz_vocabulary, relaxed_path_scores
 from proctrack.corpus import (
     PROPARA,
+    RECIPES,
     AnnotationGrid,
     LocationValue,
     Track,
@@ -80,6 +82,36 @@ def test_estimate_is_order_independent():
     assert np.array_equal(forward.start_scores, backward.start_scores)
     assert np.array_equal(forward.trans_scores, backward.trans_scores)
     assert np.array_equal(forward.trans_counts, backward.trans_counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_counts_and_vetoes_match_a_counter_over_the_tracks(data):
+    """Counts are a Counter over the tracks' first labels and adjacent pairs,
+    a score is -inf exactly where its count is 0, and the audit lists the
+    rare pairs in (source, target) order."""
+    vocabulary = data.draw(st.sampled_from([PROPARA, RECIPES]))
+    label = st.sampled_from(vocabulary.labels)
+    corpus = data.draw(st.lists(st.lists(st.lists(label, max_size=6), max_size=3),
+                                min_size=1, max_size=4))
+    tracks = [states for grid in corpus for states in grid if states]
+    assume(tracks)
+    model = estimate([_grid(f"p{i}", {f"e{j}": states for j, states in enumerate(grid)})
+                      for i, grid in enumerate(corpus)], vocabulary)
+
+    index, size = vocabulary.index, vocabulary.size
+    starts = Counter(index(states[0]) for states in tracks)
+    pairs = Counter((index(a), index(b)) for states in tracks for a, b in zip(states, states[1:]))
+    assert model.sequence_count == len(tracks)
+    assert model.start_counts.tolist() == [starts[i] for i in range(size)]
+    assert model.trans_counts.tolist() == [[pairs[i, j] for j in range(size)]
+                                           for i in range(size)]
+    assert np.array_equal(np.isneginf(model.start_scores), model.start_counts == 0)
+    assert np.array_equal(np.isneginf(model.trans_scores), model.trans_counts == 0)
+    labels = vocabulary.labels
+    assert audit_rare_transitions(model, 3) == [
+        (labels[i], labels[j], pairs[i, j]) for i in range(size) for j in range(size)
+        if 0 < pairs[i, j] < 3]
 
 
 def test_empty_corpus_rejected():

@@ -392,6 +392,7 @@ def test_grid_validation():
         tune(procedures, grids, emissions, model, PROPARA, grid=())
     with pytest.raises(ValidationError):
         tune(procedures, grids, emissions, model, PROPARA, grid=(0.0, 0.5))
-    for grid in ([0.5, float("inf")], ["a"], [0.5, 10 ** 400]):
+    for grid in ([0.5, float("inf")], ["a"], [0.5, 10 ** 400], [Decimal("sNaN")],
+                 [Decimal("1e400")]):
         with pytest.raises(ValidationError, match="must be finite and positive"):
             tune(procedures, grids, emissions, model, PROPARA, grid=grid)
