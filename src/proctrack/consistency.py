@@ -12,19 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import (  # the RULE_* repair names are re-exported
-    RULE_CREATE_AFTER,
-    RULE_CREATE_BEFORE,
-    RULE_EXIST,
-    RULE_MOVE,
-    RULE_NONEXISTENT,
-    RULE_START,
-    LocationValue,
-    StateVocabulary,
-    Track,
-    coupling_breaks,
-    parse_prediction,
-)
+from .corpus import LocationValue, StateVocabulary, Track, coupling_breaks, parse_prediction
 from .errors import ValidationError
 
 

@@ -21,6 +21,16 @@ from .errors import NoValidPathError, ValidationError
 from .transitions import TransitionModel, veto_counts
 
 
+def as_float(value) -> float:
+    """`value` as a float, or NaN (which fails every range check) if it is not a real number."""
+    if isinstance(value, (str, bytes, np.complexfloating)):     # float() parses or truncates
+        return math.nan
+    try:    # float() takes any int, Decimal, Fraction or real numpy scalar
+        return float(value)
+    except (TypeError, ValueError, ArithmeticError):   # not a number, sNaN, beyond a float
+        return math.nan
+
+
 @dataclass(frozen=True)
 class DecodeConfig:
     """Emission weights for explicitly mentioned vs unmentioned steps."""
@@ -29,13 +39,7 @@ class DecodeConfig:
     tau_imp: float = 0.7
 
     def __post_init__(self):
-        try:    # float() takes any real number (int, Decimal, Fraction, numpy) and a str
-            valid = (not isinstance(self.tau_exp, (str, bytes))
-                     and not isinstance(self.tau_imp, (str, bytes))
-                     and 0 < float(self.tau_exp) < math.inf and 0 < float(self.tau_imp) < math.inf)
-        except (TypeError, ValueError, ArithmeticError):   # not a number, sNaN, beyond a float
-            valid = False
-        if not valid:
+        if not all(0 < as_float(tau) < math.inf for tau in (self.tau_exp, self.tau_imp)):
             raise ValidationError(f"tau values must be finite and positive, "
                                   f"got ({self.tau_exp}, {self.tau_imp})")
 

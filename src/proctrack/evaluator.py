@@ -120,6 +120,21 @@ def _event_slots(track: Track, event: str, t: int):
     return track.locations[t - 1].key, track.locations[t].key
 
 
+_NO_EVENTS = {event: {} for event in EVENTS}
+
+
+def _events(track: Track | None) -> dict[str, dict[int, object]]:
+    """{event: {step: slots}} from one walk of a track. A missing track, or one
+    with no event state, gets the shared `_NO_EVENTS`, which is never written."""
+    if track is None or _NO_EVENTS.keys().isdisjoint(track.states):
+        return _NO_EVENTS
+    table = {event: {} for event in EVENTS}
+    for t, state in enumerate(track.states, start=1):
+        if state in table:
+            table[state][t] = _event_slots(track, state, t)
+    return table
+
+
 def _document_tuples(grids: dict[str, AnnotationGrid]):
     inputs, outputs, conversions, moves = set(), set(), set(), set()
     for proc_id, grid in grids.items():
@@ -171,12 +186,6 @@ def eval_document_level(gold_grids: dict[str, AnnotationGrid],
                             for p, g in zip(pred_tuples, gold_tuples)])
 
 
-def _event_steps(track: Track | None, event: str) -> set[int]:
-    if track is None:
-        return set()
-    return {t for t, s in enumerate(track.states, start=1) if s == event}
-
-
 def eval_sentence_level(gold_grids: dict[str, AnnotationGrid],
                         pred_grids: dict[str, AnnotationGrid]) -> SentenceReport:
     """Score (procedure, entity, event) triples on three questions.
@@ -186,41 +195,26 @@ def eval_sentence_level(gold_grids: dict[str, AnnotationGrid],
     arguments, read off at the gold event steps (gold-positive triples).
     """
     _check_coverage(gold_grids, pred_grids)
-    c1_correct = c1_total = 0
-    c2_correct = c2_total = 0
-    c3_correct = c3_total = 0
+    correct, total = [0, 0, 0], [0, 0, 0]
     for proc_id, gold in gold_grids.items():
         pred = pred_grids.get(proc_id)
         for entity_id, gold_track in gold.entries.items():
             pred_track = pred.entries.get(entity_id) if pred else None
-            for event in EVENTS:
-                gold_steps = _event_steps(gold_track, event)
-                pred_steps = _event_steps(pred_track, event)
-                c1_total += 1
-                if bool(gold_steps) == bool(pred_steps):
-                    c1_correct += 1
-                if not gold_steps:
-                    continue
-                c2_total += 1
-                if pred_steps == gold_steps:
-                    c2_correct += 1
-                c3_total += 1
-                if pred_track is not None and all(
-                        _event_slots(pred_track, event, t) == _event_slots(gold_track, event, t)
-                        for t in gold_steps):
-                    c3_correct += 1
-
-    def cat(correct, total):
-        return CategoryScore(correct / total if total else 1.0, correct, total)
-
-    cat1, cat2, cat3 = cat(c1_correct, c1_total), cat(c2_correct, c2_total), cat(c3_correct, c3_total)
-    total = c1_total + c2_total + c3_total
-    micro = (c1_correct + c2_correct + c3_correct) / total if total else 1.0
-    return SentenceReport(
-        cat1=cat1, cat2=cat2, cat3=cat3,
-        macro=(cat1.score + cat2.score + cat3.score) / 3,
-        micro=micro,
-    )
+            pred_events = _events(pred_track)
+            for event, gold_at in _events(gold_track).items():
+                pred_at = pred_events[event]
+                total[0] += 1
+                correct[0] += bool(gold_at) == bool(pred_at)
+                if gold_at:
+                    total[1] += 1
+                    correct[1] += pred_at.keys() == gold_at.keys()
+                    total[2] += 1
+                    correct[2] += pred_track is not None and all(
+                        _event_slots(pred_track, event, t) == slots
+                        for t, slots in gold_at.items())
+    cats = [CategoryScore(c / n if n else 1.0, c, n) for c, n in zip(correct, total)]
+    return SentenceReport(*cats, macro=sum(cat.score for cat in cats) / 3,
+                          micro=sum(correct) / sum(total) if sum(total) else 1.0)
 
 
 def _change_tuples(grids: dict[str, AnnotationGrid]) -> set:

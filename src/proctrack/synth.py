@@ -28,7 +28,7 @@ from .corpus import (
     Track,
     UNKNOWN_LOCATION,
 )
-from .decoder import EmissionSet, EmissionTrack, detect_mentions
+from .decoder import EmissionSet, EmissionTrack, as_float, detect_mentions
 from .errors import ValidationError
 
 _BIAS_KEYS = ("explicit", "implicit")
@@ -89,27 +89,25 @@ class OracleConfig:
         bias = self.corruption_bias or {}
         if not isinstance(bias, dict):
             raise ValidationError(f"corruption_bias must be a dict, got {bias!r}")
-        try:
-            for name, rate in (("state_noise", self.state_noise),
-                               ("location_noise", self.location_noise)):
-                if not 0.0 <= rate < 1.0:
-                    raise ValidationError(f"{name} must be in [0, 1), got {rate}")
-            for key, extra in bias.items():
-                if key not in _BIAS_KEYS:
-                    raise ValidationError(
-                        f"unknown corruption_bias key {key!r}; allowed: {_BIAS_KEYS}")
-                if not extra >= 0:                  # NaN included
-                    raise ValidationError(f"corruption_bias[{key!r}] must be >= 0, got {extra}")
-            worst = max(self.effective_state_noise(True), self.effective_state_noise(False))
-        except (TypeError, ArithmeticError):        # not a number, or a Decimal NaN
-            raise ValidationError(f"noise rates must be numbers, got {self}") from None
+        for name, rate in (("state_noise", self.state_noise),
+                           ("location_noise", self.location_noise)):
+            if not 0.0 <= as_float(rate) < 1.0:             # NaN and non-numbers included
+                raise ValidationError(f"{name} must be in [0, 1), got {rate}")
+        for key, extra in bias.items():
+            if key not in _BIAS_KEYS:
+                raise ValidationError(
+                    f"unknown corruption_bias key {key!r}; allowed: {_BIAS_KEYS}")
+            if not as_float(extra) >= 0:                    # NaN and non-numbers included
+                raise ValidationError(f"corruption_bias[{key!r}] must be >= 0, got {extra}")
+        worst = max(self.effective_state_noise(True), self.effective_state_noise(False))
         if worst >= 1.0:
             raise ValidationError(
                 f"biased state noise can reach {worst}, which is outside [0, 1)")
 
     def effective_state_noise(self, mentioned: bool) -> float:
         bias = self.corruption_bias or {}
-        return self.state_noise + bias.get("explicit" if mentioned else "implicit", 0.0)
+        extra = bias.get("explicit" if mentioned else "implicit", 0.0)
+        return float(self.state_noise) + float(extra)
 
 
 def synth_emissions(procedures, grids, vocabulary: StateVocabulary,
@@ -124,6 +122,7 @@ def synth_emissions(procedures, grids, vocabulary: StateVocabulary,
     to "unknown" at the location noise rate.
     """
     rng = np.random.default_rng(config.seed)
+    location_noise = float(config.location_noise)
     size = vocabulary.size
     sets: dict[str, EmissionSet] = {}
     for procedure in procedures:
@@ -149,7 +148,7 @@ def synth_emissions(procedures, grids, vocabulary: StateVocabulary,
                 logits[t - 1] = row
             preds = []
             for loc in track.locations:
-                if config.location_noise > 0 and rng.random() < config.location_noise:
+                if location_noise > 0 and rng.random() < location_noise:
                     preds.append("unknown")
                 else:
                     preds.append(loc.answer_text())

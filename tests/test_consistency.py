@@ -10,18 +10,16 @@ from helpers import (
     random_location_preds,
     random_walk_states,
 )
-from proctrack.consistency import (
+from proctrack.consistency import resolve
+from proctrack.corpus import (
+    PROPARA,
+    RECIPES,
     RULE_CREATE_AFTER,
     RULE_CREATE_BEFORE,
     RULE_EXIST,
     RULE_MOVE,
     RULE_NONEXISTENT,
     RULE_START,
-    resolve,
-)
-from proctrack.corpus import (
-    PROPARA,
-    RECIPES,
     AnnotationGrid,
     Track,
     load_corpus,

@@ -2,7 +2,7 @@
 
 Everything else is imported from its module, so a name that the scripts or
 `perfbench/` stop using should leave `__all__`, and a name they start using
-must be added to it.
+must be added to it. No other module hands on a name it imported.
 """
 
 import ast
@@ -54,3 +54,18 @@ def test_all_is_exactly_the_used_functions_and_classes():
     assert sorted(proctrack.__all__) == sorted(used)
     for name in proctrack.__all__:
         assert hasattr(proctrack, name), name
+
+
+def test_no_module_imports_a_sibling_name_it_does_not_use():
+    # Each name has one home: a module imports a sibling's name only to use
+    # it. The root resolves its names from a table and imports none.
+    for path in sorted((ROOT / "src" / "proctrack").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    and (node.level or (node.module or "").startswith("proctrack"))):
+                for alias in node.names:
+                    assert (alias.asname or alias.name) in used, (path.name, alias.name)

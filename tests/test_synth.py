@@ -2,7 +2,9 @@
 
 import math
 import re
+import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 from helpers import reference_propara_track, reference_recipes_track
 from proctrack import synth
 from proctrack.corpus import PROPARA, RECIPES, grid_violations
-from proctrack.decoder import argmax_states, detect_mentions
+from proctrack.decoder import DecodeConfig, argmax_states, detect_mentions, save_emissions
 from proctrack.errors import ValidationError
 from proctrack.synth import OracleConfig, make_corpus, synth_emissions
+from test_cli import JSON_VALUES
 
 
 def test_make_corpus_is_deterministic():
@@ -118,6 +121,61 @@ def test_effective_noise_composes_bias_terms():
     config = OracleConfig(state_noise=0.1, corruption_bias={"implicit": 0.2})
     assert config.effective_state_noise(True) == pytest.approx(0.1)
     assert config.effective_state_noise(False) == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("field", ["state_noise", "location_noise", "explicit", "implicit"])
+@pytest.mark.parametrize("rate", [Decimal("0.1"), Fraction(1, 10), np.float32(0.1)],
+                         ids=["Decimal", "Fraction", "float32"])
+def test_a_rate_of_any_real_type_gives_the_emissions_of_its_float(tmp_path, field, rate):
+    procedures, grids = make_corpus(8, PROPARA, seed=8)
+
+    def emissions(value):
+        rates = ({"corruption_bias": {field: value}} if field in ("explicit", "implicit")
+                 else {field: value})
+        config = OracleConfig(seed=5, **rates)
+        assert type(config.effective_state_noise(field != "implicit")) is float
+        path = tmp_path / f"{type(value).__name__}.jsonl"
+        save_emissions(synth_emissions(procedures, grids, PROPARA, config), path)
+        return path.read_bytes()
+
+    assert emissions(rate) == emissions(float(rate))
+
+
+# Each numeric field of the two configs takes what a file or a flag can hold,
+# plus the other real types a library caller may pass. Half the draws are
+# rates of each type in [0, 0.25], so that many drawn configs are valid.
+RATES = st.one_of(st.integers(0, 0), st.floats(0, 0.25), st.decimals(0, "0.25"),
+                  st.fractions(0, "1/4"), st.builds(np.float16, st.floats(0, 0.25, width=16)),
+                  st.builds(np.float32, st.floats(0, 0.25, width=32)),
+                  st.builds(np.float64, st.floats(0, 0.25)))
+NUMBERS = RATES | st.one_of(
+    JSON_VALUES, st.decimals(), st.fractions(), st.builds(np.float16, st.floats(width=16)),
+    st.builds(np.float32, st.floats(width=32)), st.builds(np.float64, st.floats()),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)), st.builds(np.bool_, st.booleans()),
+    st.builds(np.complex128, st.complex_numbers()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rates=st.tuples(NUMBERS, NUMBERS, st.integers(0, 9) | NUMBERS, NUMBERS),
+       bias=st.none() | JSON_VALUES | st.dictionaries(
+           st.sampled_from(["explicit", "implicit"]) | st.text(max_size=3), NUMBERS, max_size=2))
+def test_configs_take_any_number_or_raise_validation_error(rates, bias):
+    state_noise, location_noise, seed, tau = rates
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config = OracleConfig(state_noise, location_noise, bias, seed)
+        except ValidationError:
+            pass
+        else:
+            for mentioned in (True, False):
+                noise = config.effective_state_noise(mentioned)
+                assert type(noise) is float and 0 <= noise < 1
+        for taus in ((tau, 0.7), (0.6, tau)):
+            try:
+                DecodeConfig(*taus)
+            except ValidationError:
+                pass
 
 
 def test_noiseless_oracle_recovers_gold_by_argmax():
