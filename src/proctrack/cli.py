@@ -16,7 +16,7 @@ import numpy as np
 # The modules `_load`, `run` and `build_parser` need; each command imports
 # the rest of what it runs, so a command compiles only its own modules.
 from . import corpus, decoder, transitions
-from .errors import DecodeError, ValidationError
+from .errors import NoValidPathError, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -303,7 +303,7 @@ def run(func, *args) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except DecodeError as exc:
+    except NoValidPathError as exc:
         print(f"decode error: {exc}", file=sys.stderr)
         return EXIT_DECODE
     except OSError as exc:

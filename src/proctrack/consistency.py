@@ -47,12 +47,14 @@ def resolve(states, location_preds, vocabulary: StateVocabulary) -> ResolvedTrac
     produce (a sequence that admits no consistent locations at all, such as
     create immediately after move, is repaired best-effort).
     """
-    states = tuple(states)
+    try:
+        states, count = tuple(states), len(location_preds)
+    except TypeError:                       # either is not a sequence
+        raise ValidationError("states and location predictions must be sequences") from None
     if not states:
         raise ValidationError("resolve needs at least one step")
-    if len(location_preds) != len(states) + 1:
-        raise ValidationError(
-            f"{len(location_preds)} location predictions for {len(states)} steps")
+    if count != len(states) + 1:
+        raise ValidationError(f"{count} location predictions for {len(states)} steps")
     states = vocabulary.canonical(states)
 
     try:

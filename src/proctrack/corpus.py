@@ -17,6 +17,7 @@ same record layout, with the predicted tracks in the ``gold`` field.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 import shutil
@@ -161,7 +162,7 @@ class StateVocabulary:
     def index(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):           # unknown or unhashable
             raise ValidationError(
                 f"label {label!r} not in vocabulary {self.name!r}"
             ) from None
@@ -171,9 +172,9 @@ class StateVocabulary:
         each label string once. The first unknown label raises as `index` does."""
         try:
             return tuple(map(self.labels.__getitem__, map(self._index.__getitem__, states)))
-        except KeyError as exc:
-            raise ValidationError(
-                f"label {exc.args[0]!r} not in vocabulary {self.name!r}") from None
+        except (KeyError, TypeError):           # an unknown or unhashable label
+            bad = next(label for label in states if label not in self.labels)
+            raise ValidationError(f"label {bad!r} not in vocabulary {self.name!r}") from None
 
     @property
     def size(self) -> int:
@@ -223,14 +224,12 @@ class Entity:
         if not self.id:
             raise ValidationError("entity id must be non-empty")
         if not self.aliases or any(not a.strip() for a in self.aliases):
-            raise ValidationError(f"entity {self.id!r} has no usable alias")
+            raise ValidationError(f"entity {self.id!r}: no usable alias in {self.raw_name!r}")
 
     @classmethod
     def from_raw(cls, entity_id: str, raw_name: str) -> "Entity":
         # Raw names may pack alternates: "water; liquid" names two aliases.
         aliases = tuple(part.strip() for part in raw_name.split(";") if part.strip())
-        if not aliases:
-            raise ValidationError(f"entity {entity_id!r}: raw name {raw_name!r} has no aliases")
         return cls(id=entity_id, raw_name=raw_name, aliases=aliases)
 
 
@@ -381,6 +380,17 @@ def check_str(value, what: str) -> str:
     return value
 
 
+def check_int(value, what: str, least: int) -> int:
+    """`value` as an int, which must be at least `least`; `what` names it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValidationError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
 def check_str_list(value, what: str) -> list[str]:
     """`value`, which must be a list of strings; `what` names it in the error.
     Types are checked exactly: JSON decoding never yields a subclass."""
@@ -476,9 +486,6 @@ def _parse_track(payload, num_steps: int, vocabulary: StateVocabulary) -> Track:
     locations = check_str_list(payload.get("locations"), "'locations'")
     if len(states) != num_steps:
         raise ValidationError(f"{len(states)} states for {num_steps} steps")
-    if len(locations) != num_steps + 1:
-        raise ValidationError(
-            f"{len(locations)} locations, expected {num_steps + 1}")
     return Track(states=vocabulary.canonical(states),
                  locations=tuple(map(LocationValue.from_token, locations)))
 

@@ -33,15 +33,18 @@ def as_float(value) -> float:
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Emission weights for explicitly mentioned vs unmentioned steps."""
+    """Emission weights for explicitly mentioned vs unmentioned steps, held as floats."""
 
     tau_exp: float = 0.6
     tau_imp: float = 0.7
 
     def __post_init__(self):
-        if not all(0 < as_float(tau) < math.inf for tau in (self.tau_exp, self.tau_imp)):
+        taus = as_float(self.tau_exp), as_float(self.tau_imp)
+        if not all(0 < tau < math.inf for tau in taus):
             raise ValidationError(f"tau values must be finite and positive, "
                                   f"got ({self.tau_exp}, {self.tau_imp})")
+        object.__setattr__(self, "tau_exp", taus[0])
+        object.__setattr__(self, "tau_imp", taus[1])
 
 
 # The most values a tau grid (`tuner.parse_grid`, `tune --grid`) may have
@@ -62,10 +65,13 @@ class EmissionTrack:
         self.state_logits = _logit_matrix(self.state_logits)
         if not np.isfinite(self.state_logits).all():
             raise ValidationError("state logits must all be finite")
-        if len(self.location_preds) != self.state_logits.shape[0] + 1:
+        try:
+            count = len(self.location_preds)
+        except TypeError:                   # not a sequence
+            count = None
+        if count != self.num_steps + 1:
             raise ValidationError(
-                f"expected {self.state_logits.shape[0] + 1} location predictions, "
-                f"got {len(self.location_preds)}")
+                f"expected {self.num_steps + 1} location predictions, got {count}")
 
     @property
     def num_steps(self) -> int:
@@ -107,11 +113,13 @@ def _logit_matrix(logits, name: str = "state_logits") -> np.ndarray:
 def weight_emissions(state_logits, flags, config: DecodeConfig) -> np.ndarray:
     """Scale each logit row by tau_exp (mentioned) or tau_imp (not mentioned)."""
     logits = _logit_matrix(state_logits)
-    if len(flags) != logits.shape[0]:
-        raise ValidationError(
-            f"{len(flags)} mention flags for {logits.shape[0]} steps")
-    taus = np.where(np.asarray(flags, dtype=bool), float(config.tau_exp), float(config.tau_imp))
-    return logits * taus[:, None]
+    try:
+        mentioned = np.asarray(flags, dtype=bool)
+    except ValueError:                      # ragged rows
+        mentioned = None
+    if np.shape(mentioned) != logits.shape[:1]:
+        raise ValidationError(f"mention flags must be one value per step ({len(logits)} steps)")
+    return logits * np.where(mentioned, config.tau_exp, config.tau_imp)[:, None]
 
 
 def argmax_states(state_logits, vocabulary: StateVocabulary) -> list[str]:

@@ -9,9 +9,5 @@ class ValidationError(ToolkitError):
     """Malformed input: schema, invariant, or configuration problems."""
 
 
-class DecodeError(ToolkitError):
-    """Decoding failed for a reason other than bad input files."""
-
-
-class NoValidPathError(DecodeError):
+class NoValidPathError(ToolkitError):
     """Every candidate state sequence has probability zero under the model."""

@@ -37,15 +37,8 @@ class QAInstance:
     target_text: str = ""
 
 
-def choice_labels(vocabulary: StateVocabulary) -> tuple[str, ...]:
-    order = _CHOICE_ORDER.get(vocabulary.name)
-    if order is None:
-        return vocabulary.labels
-    return order
-
-
 def choices_line(vocabulary: StateVocabulary) -> str:
-    labels = choice_labels(vocabulary)
+    labels = _CHOICE_ORDER.get(vocabulary.name, vocabulary.labels)
     if len(labels) > len(string.ascii_lowercase):
         raise ValidationError("too many labels for lettered choices")
     return " ".join(

@@ -12,7 +12,6 @@ seeds give byte-identical files.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .corpus import (
     StateVocabulary,
     Track,
     UNKNOWN_LOCATION,
+    check_int,
 )
 from .decoder import EmissionSet, EmissionTrack, as_float, detect_mentions
 from .errors import ValidationError
@@ -57,17 +57,6 @@ _FILLERS = {
 }
 
 
-def _check_int(name: str, value, least: int) -> None:
-    # numpy's generator rejects a negative seed with a bare ValueError, and
-    # a non-integer seed or count fails later with a bare TypeError.
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValidationError(f"{name} must be >= {least}, got {value}")
-
-
 @dataclass(frozen=True)
 class OracleConfig:
     """Noise model for fabricated emissions.
@@ -85,7 +74,7 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_int("seed", self.seed, 0)
+        check_int(self.seed, "seed", 0)
         bias = self.corruption_bias or {}
         if not isinstance(bias, dict):
             raise ValidationError(f"corruption_bias must be a dict, got {bias!r}")
@@ -363,8 +352,8 @@ def make_corpus(n_procedures: int, vocabulary: StateVocabulary, seed: int):
     if vocabulary.name not in _ENTITY_WORDS:
         raise ValidationError(
             f"no generator recipe for vocabulary {vocabulary.name!r}")
-    _check_int("n_procedures", n_procedures, 1)
-    _check_int("seed", seed, 0)
+    check_int(n_procedures, "n_procedures", 1)
+    check_int(seed, "seed", 0)
     flavor = vocabulary.name
     rng = np.random.default_rng(seed)
     sample_track = _propara_track if flavor == "propara" else _recipes_track

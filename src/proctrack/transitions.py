@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import StateVocabulary, write_json
+from .corpus import StateVocabulary, check_int, write_json
 from .errors import ValidationError
 
 
@@ -103,8 +103,7 @@ def estimate(grids, vocabulary: StateVocabulary) -> TransitionModel:
 def veto_counts(model: TransitionModel, num_steps: int) -> np.ndarray:
     """A (T, L) int array: row t holds, per label q, the fewest -inf starts
     and transitions on any sequence of t + 1 labels that ends in q."""
-    if num_steps < 1:
-        raise ValidationError("num_steps must be >= 1")
+    check_int(num_steps, "num_steps", 1)
     counts, edges = [np.isneginf(model.start_scores) * 1], np.isneginf(model.trans_scores) * 1
     for _ in range(num_steps - 1):              # min-plus over veto counts
         counts.append((counts[-1][:, None] + edges).min(axis=0))
@@ -121,8 +120,7 @@ def audit_rare_transitions(model: TransitionModel, min_count: int):
 
     Purely informational; scores are never altered.
     """
-    if min_count < 1:
-        raise ValidationError(f"min_count must be >= 1, got {min_count}")
+    check_int(min_count, "min_count", 1)
     labels, counts = model.vocabulary.labels, model.trans_counts
     return [(labels[i], labels[j], int(counts[i, j]))
             for i, j in np.argwhere((counts > 0) & (counts < min_count)).tolist()]

@@ -83,7 +83,7 @@ def parse_grid(spec: str) -> tuple[float, ...]:
         return ValidationError(f"bad grid spec {spec!r}; {reason}")
     try:
         start, stop, step = (decimal.Decimal(x) for x in spec.split(":"))
-    except (ValueError, decimal.InvalidOperation):
+    except (AttributeError, ValueError, decimal.InvalidOperation):    # or not a string
         raise bad("expected start:stop:step") from None
     if (not all(x.is_finite() and math.isfinite(float(x)) for x in (start, stop, step))
             or step <= 0 or stop < start):

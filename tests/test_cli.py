@@ -426,6 +426,76 @@ def test_fuzzed_field_exits_zero_or_two_with_line(split_files, tmp_path_factory,
         assert re.match(rf"error: ({paths}):\d+: ", err.getvalue()), err.getvalue()
 
 
+def _one_track(record, **fields):
+    """The gold of a corpus record cut to its first track, with `fields` replaced."""
+    entity_id, track = next(iter(record["gold"].items()))
+    return {entity_id: {**track, **fields}}
+
+
+# One bad record per check that rejects it: (input, line, an edit of that
+# line's record given (record, all records), the message after "path:line: ").
+BAD_RECORDS = {
+    "decoded-unknown-procedure": ("decoded", 1, lambda r, _: r.update(procedure_id="ghost"),
+                                  "unknown procedure 'ghost'"),
+    "decoded-no-emissions": ("decoded", 1, lambda r, _: r.update(entity_id="ghost"),
+                             r"no emissions for \('hydropower', 'ghost'\)"),
+    "emissions-unknown-procedure": ("emissions", 1, lambda r, _: r.update(procedure_id="ghost"),
+                                    "unknown procedure id 'ghost'"),
+    "emissions-rows": ("emissions", 1, lambda r, _: r.update(
+        state_logits=r["state_logits"][1:], location_preds=r["location_preds"][1:]),
+        "5 logit rows for 6 steps"),
+    "emissions-columns": ("emissions", 1, lambda r, _: r.update(
+        state_logits=[row[1:] for row in r["state_logits"]]), "5 logit columns for 6 labels"),
+    "emissions-not-finite": ("emissions", 1, lambda r, _: r.update(
+        state_logits=[[float("inf")] * 6, *r["state_logits"][1:]]),
+        "state logits must all be finite"),
+    "corpus-track-not-object": ("corpus", 1, lambda r, _: r.update(gold={"water": []}),
+                                "entity 'water': track must be an object"),
+    "corpus-states": ("corpus", 1, lambda r, _: r.update(
+        gold=_one_track(r, states=["exist"] * 5)), "entity 'water': 5 states for 6 steps"),
+    "corpus-locations": ("corpus", 1, lambda r, _: r.update(
+        gold=_one_track(r, locations=["?"] * 6)),
+        r"entity 'water': track needs T\+1 locations for T states, got 6 states and 6 locations"),
+    "corpus-alias": ("corpus", 1, lambda r, _: r.update(
+        entities=[{"id": "water", "raw_name": " ; "}]),
+        "entity 'water': no usable alias in ' ; '"),
+    "corpus-duplicate-id": ("corpus", 2, lambda r, records: r.update(id=records[0]["id"]),
+                            "duplicate procedure id 'hydropower'"),
+    "predictions-duplicate-id": ("predictions", 2,
+                                 lambda r, records: r.update(id=records[0]["id"]),
+                                 "duplicate procedure id 'hydropower'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_RECORDS)
+def test_each_bad_record_exits_two_naming_its_file_and_line(split_files, tmp_path, capsys,
+                                                            case):
+    kind, lineno, edit, message = BAD_RECORDS[case]
+    records = [json.loads(line) for line in split_files[kind].read_text().splitlines()]
+    edit(records[lineno - 1], records)
+    files = {**split_files, kind: tmp_path / f"{kind}.jsonl"}
+    files[kind].write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert main(_fuzz_argv(files, tmp_path / "out")[kind]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(files[kind]))}:{lineno}: {message}\n", err), err
+
+
+@pytest.mark.parametrize("min_count", [1, 5])
+def test_estimate_transitions_reports_the_transitions_below_min_count(tmp_path, capsys,
+                                                                      min_count):
+    model = load_model(MODEL_PROPARA)
+    labels = model.vocabulary.labels
+    rare = [f"rare transition {labels[p]} -> {labels[q]}: seen {count} time(s)"
+            for (p, q), count in np.ndenumerate(model.trans_counts) if 0 < count < min_count]
+    out = tmp_path / "model.json"
+    assert main(["estimate-transitions", *_corpus_args(), "--min-count", str(min_count),
+                 "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        *(rare or [f"no transitions seen fewer than {min_count} times"]),
+        f"wrote transition model ({model.sequence_count} sequences) to {out}"]
+    assert len(rare) == (0 if min_count == 1 else 3)
+
+
 def _nested_slot(record, target, pick):
     """(list, index) of one nested value of a record: a step string, a logit
     row or cell, or a state or location of one track. `pick(n)` draws an

@@ -172,6 +172,15 @@ def test_config_requires_positive_taus():
             DecodeConfig(*taus)
 
 
+def test_config_holds_the_floats_of_its_taus():
+    config = DecodeConfig(Decimal("0.6"), Fraction(7, 10))
+    assert (config.tau_exp, config.tau_imp) == (0.6, 0.7)
+    assert type(config.tau_exp) is float and type(config.tau_imp) is float
+    # The error still quotes the values the caller gave.
+    with pytest.raises(ValidationError, match=r"got \(-1/2, 0.7\)"):
+        DecodeConfig(Fraction(-1, 2), 0.7)
+
+
 def test_viterbi_single_step():
     model = _single_track_model()
     emissions = np.zeros((1, PROPARA.size))
@@ -255,7 +264,8 @@ def test_viterbi_matches_brute_force_on_random_instances():
 
 
 def test_viterbi_follows_score_arrays_edited_in_place_or_reassigned():
-    """The edge lists the kernel builds once per model never go stale."""
+    """`viterbi` reads the model's score arrays on every call, so an edit in
+    place or a new array shows in the next decode."""
     _, grids = make_corpus(30, PROPARA, seed=11)
     model = estimate(grids.values(), PROPARA)
     emissions = np.random.default_rng(5).normal(size=(6, PROPARA.size))

@@ -1,7 +1,10 @@
 """End-to-end decode/repair/score runs and their serialized reports."""
 
 import json
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, FIXTURES, GOLDEN_DIR, MODEL_PROPARA
@@ -112,6 +115,19 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / filename).read_bytes() == (
             tmp_path / "b" / filename
         ).read_bytes()
+
+
+@pytest.mark.parametrize("taus", [(Decimal("0.6"), Fraction(7, 10)), (np.float32(0.6), 0.7)],
+                         ids=["Decimal-Fraction", "float32"])
+def test_taus_of_any_real_type_write_the_outputs_of_their_floats(tmp_path, taus):
+    procedures, grids, model, emissions = _fixture_inputs()
+    for name, config in (("real", DecodeConfig(*taus)),
+                         ("float", DecodeConfig(*map(float, taus)))):
+        result = run_pipeline(procedures, grids, emissions, model, PROPARA, config, seed=0)
+        write_outputs(result, procedures, tmp_path / name)
+    for filename in ("predictions.jsonl", "report.json", "report.txt"):
+        assert (tmp_path / "real" / filename).read_bytes() == (
+            tmp_path / "float" / filename).read_bytes(), filename
 
 
 GOLDEN_RUNS = {

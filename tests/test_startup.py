@@ -48,7 +48,7 @@ def _cli_imports(*argv):
     return proc.stdout, {name for name in names if name.split(".")[0] == "proctrack"}
 
 
-def test_import_proctrack_loads_only_the_loader_modules():
+def test_import_proctrack_loads_no_submodule():
     loaded = _fresh("import json, sys, proctrack; "
                     "print(json.dumps([m for m in sys.modules if m.startswith('proctrack')]))")
     assert set(loaded) == {"proctrack"}     # each root name loads its module on first use

@@ -168,6 +168,14 @@ def test_veto_counts_hold_the_fewest_vetoes_at_every_step(n_labels, n_steps, dat
         assert counts[t].tolist() == fewest
 
 
+def test_integer_arguments_that_are_not_integers_raise_validation_error():
+    model = load_model(MODEL_PROPARA)
+    for check, value in ((veto_counts, "3"), (validate_path_exists, 2.5),
+                         (audit_rare_transitions, None)):
+        with pytest.raises(ValidationError, match=f"must be an integer, got {value!r}"):
+            check(model, value)
+
+
 def test_audit_lists_rare_seen_transitions():
     states = ["exist"] * 10 + ["move"]
     model = estimate([_grid("p0", {"e0": states})], PROPARA)
