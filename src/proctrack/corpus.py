@@ -268,17 +268,20 @@ class Procedure:
 
 @dataclass(frozen=True)
 class Track:
-    """States and locations for one entity across one procedure."""
+    """States and locations for one entity across one procedure: a tuple of
+    label strings and a tuple of T+1 LocationValues, else ValidationError."""
 
     states: tuple[str, ...]
     locations: tuple[LocationValue, ...]
 
     def __post_init__(self):
+        if not (type(self.states) is type(self.locations) is tuple
+                and set(map(type, self.states)) <= {str}
+                and set(map(type, self.locations)) <= {LocationValue}):
+            raise ValidationError("a track needs a tuple of labels and one of LocationValues")
         if len(self.locations) != len(self.states) + 1:
-            raise ValidationError(
-                f"track needs T+1 locations for T states, got "
-                f"{len(self.states)} states and {len(self.locations)} locations"
-            )
+            raise ValidationError(f"track needs T+1 locations for T states, got "
+                                  f"{len(self.states)} states and {len(self.locations)} locations")
 
     @property
     def num_steps(self) -> int:
@@ -391,10 +394,10 @@ def check_int(value, what: str, least: int) -> int:
     return value
 
 
-def check_str_list(value, what: str) -> list[str]:
-    """`value`, which must be a list of strings; `what` names it in the error.
-    Types are checked exactly: JSON decoding never yields a subclass."""
-    if type(value) is not list or not set(map(type, value)) <= {str}:
+def check_str_list(value, what: str) -> list[str] | tuple[str, ...]:
+    """`value`, which must be a list or tuple of strings; `what` names it in
+    the error. Types are checked exactly: JSON decoding never yields a subclass."""
+    if type(value) not in (list, tuple) or not set(map(type, value)) <= {str}:
         raise ValidationError(f"{what} must be a list of strings")
     return value
 

@@ -55,8 +55,8 @@ GRID_MAX_VALUES = 1000
 
 @dataclass
 class EmissionTrack:
-    """Model outputs for one entity: a (T, L) matrix of numeric logits (else
-    ValidationError) and T+1 location strings ("none", "unknown", or a span)."""
+    """Model outputs for one entity, held as checked (else ValidationError): a
+    (T, L) float matrix of logits and a tuple of T+1 location strings."""
 
     state_logits: np.ndarray
     location_preds: tuple[str, ...]
@@ -65,13 +65,9 @@ class EmissionTrack:
         self.state_logits = _logit_matrix(self.state_logits)
         if not np.isfinite(self.state_logits).all():
             raise ValidationError("state logits must all be finite")
-        try:
-            count = len(self.location_preds)
-        except TypeError:                   # not a sequence
-            count = None
-        if count != self.num_steps + 1:
-            raise ValidationError(
-                f"expected {self.num_steps + 1} location predictions, got {count}")
+        self.location_preds = tuple(check_str_list(self.location_preds, "'location_preds'"))
+        if (count := len(self.location_preds)) != self.num_steps + 1:
+            raise ValidationError(f"expected {self.num_steps + 1} location predictions, got {count}")
 
     @property
     def num_steps(self) -> int:
@@ -295,7 +291,6 @@ def load_emissions(path, procedures, vocabulary: StateVocabulary):
     def parse(record):
         proc_id = check_str(record.get("procedure_id"), "'procedure_id'")
         entity_id = check_str(record.get("entity_id"), "'entity_id'")
-        preds = check_str_list(record.get("location_preds"), "'location_preds'")
         # Type check before numpy, which would turn "0.5" and true into floats.
         logits = record.get("state_logits")
         if not (isinstance(logits, list) and set(map(type, logits)) <= {list}
@@ -307,7 +302,8 @@ def load_emissions(path, procedures, vocabulary: StateVocabulary):
         known = [e.id for e in procedure.entities if e.id == entity_id]
         if not known:
             raise ValidationError(f"unknown entity {entity_id!r} in procedure {proc_id!r}")
-        track = EmissionTrack(logits, tuple(map(shared.setdefault, preds, preds)))
+        track = EmissionTrack(logits, preds := record.get("location_preds"))
+        track.location_preds = tuple(map(shared.setdefault, preds, preds))
         if track.num_steps != procedure.num_steps:
             raise ValidationError(
                 f"{track.num_steps} logit rows for {procedure.num_steps} steps")
@@ -327,6 +323,6 @@ def save_emissions(sets, path) -> None:
     write_records(path, ({
         "procedure_id": emission_set.procedure_id,
         "entity_id": entity_id,
-        "state_logits": [[float(x) for x in row] for row in track.state_logits],
+        "state_logits": track.state_logits.tolist(),
         "location_preds": list(track.location_preds),
     } for emission_set in sets.values() for entity_id, track in emission_set.tracks.items()))

@@ -65,7 +65,7 @@ class OracleConfig:
     a uniformly random wrong label; location_noise likewise degrades a
     location slot to "unknown". corruption_bias adds extra state noise by
     the mention flag of the step: keys "explicit" and "implicit". All
-    effective rates must stay inside [0, 1).
+    effective rates must stay inside [0, 1). Rates and biases are held as floats.
     """
 
     state_noise: float = 0.0
@@ -74,29 +74,29 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int(self.seed, "seed", 0)
-        bias = self.corruption_bias or {}
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
+        bias = {} if self.corruption_bias is None else self.corruption_bias
         if not isinstance(bias, dict):
             raise ValidationError(f"corruption_bias must be a dict, got {bias!r}")
-        for name, rate in (("state_noise", self.state_noise),
-                           ("location_noise", self.location_noise)):
+        for name in ("state_noise", "location_noise"):
+            rate = getattr(self, name)
             if not 0.0 <= as_float(rate) < 1.0:             # NaN and non-numbers included
                 raise ValidationError(f"{name} must be in [0, 1), got {rate}")
+            object.__setattr__(self, name, as_float(rate))
         for key, extra in bias.items():
             if key not in _BIAS_KEYS:
                 raise ValidationError(
                     f"unknown corruption_bias key {key!r}; allowed: {_BIAS_KEYS}")
             if not as_float(extra) >= 0:                    # NaN and non-numbers included
                 raise ValidationError(f"corruption_bias[{key!r}] must be >= 0, got {extra}")
+        object.__setattr__(self, "corruption_bias", {k: as_float(v) for k, v in bias.items()})
         worst = max(self.effective_state_noise(True), self.effective_state_noise(False))
         if worst >= 1.0:
-            raise ValidationError(
-                f"biased state noise can reach {worst}, which is outside [0, 1)")
+            raise ValidationError(f"biased state noise can reach {worst}, which is outside [0, 1)")
 
     def effective_state_noise(self, mentioned: bool) -> float:
-        bias = self.corruption_bias or {}
-        extra = bias.get("explicit" if mentioned else "implicit", 0.0)
-        return float(self.state_noise) + float(extra)
+        return self.state_noise + self.corruption_bias.get(
+            "explicit" if mentioned else "implicit", 0.0)
 
 
 def synth_emissions(procedures, grids, vocabulary: StateVocabulary,
@@ -111,7 +111,6 @@ def synth_emissions(procedures, grids, vocabulary: StateVocabulary,
     to "unknown" at the location noise rate.
     """
     rng = np.random.default_rng(config.seed)
-    location_noise = float(config.location_noise)
     size = vocabulary.size
     sets: dict[str, EmissionSet] = {}
     for procedure in procedures:
@@ -137,11 +136,11 @@ def synth_emissions(procedures, grids, vocabulary: StateVocabulary,
                 logits[t - 1] = row
             preds = []
             for loc in track.locations:
-                if location_noise > 0 and rng.random() < location_noise:
+                if config.location_noise > 0 and rng.random() < config.location_noise:
                     preds.append("unknown")
                 else:
                     preds.append(loc.answer_text())
-            bucket.tracks[entity_id] = EmissionTrack(logits, tuple(preds))
+            bucket.tracks[entity_id] = EmissionTrack(logits, preds)
         sets[procedure.id] = bucket
     return sets
 

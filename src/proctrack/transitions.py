@@ -47,6 +47,7 @@ class TransitionModel:
         self.trans_counts = _counts(self.trans_counts, (size, size), "trans_counts")
         if not _is_count(self.sequence_count):
             raise ValidationError("sequence_count must be a non-negative integer")
+        self.sequence_count = int(self.sequence_count)      # a numpy int is not JSON
 
     def start_score(self, label: str) -> float:
         return float(self.start_scores[self.vocabulary.index(label)])
@@ -153,8 +154,8 @@ def save_model(model: TransitionModel, path) -> None:
         "transition_scores": [
             [_encode_score(x) for x in row] for row in model.trans_scores
         ],
-        "start_counts": [int(x) for x in model.start_counts],
-        "transition_counts": [[int(x) for x in row] for row in model.trans_counts],
+        "start_counts": model.start_counts.tolist(),
+        "transition_counts": model.trans_counts.tolist(),
     }
     write_json(path, payload)
 

@@ -113,7 +113,7 @@ class TuneResult:
 def _exact(values):
     """`values` as integers in one common power-of-two unit: exact, and in
     the same order and ratios as the floats."""
-    ratios = [float(value).as_integer_ratio() for value in values]
+    ratios = [value.as_integer_ratio() for value in values]
     unit = max(d for _, d in ratios)
     return [n * (unit // d) for n, d in ratios]
 
@@ -207,17 +207,18 @@ def _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
     return resolved, np.broadcast_to(at, (len(values),) * 2).ravel().tolist()
 
 
+@np.errstate(over="ignore")     # an overflowed weighted logit fails its decode, unwarned
 def tune(procedures, gold_grids, emissions, model: TransitionModel,
          vocabulary: StateVocabulary, grid=None, relax: bool = False) -> TuneResult:
     """Score every grid cell and return the best plus the full table."""
-    taus = tuple(grid) if grid is not None else default_grid()
-    if not taus:
-        raise ValidationError("tuning grid must be non-empty")
-    for tau in taus:
-        DecodeConfig(tau, tau)                      # raises for a value that is no tau
-    values = sorted(set(taus))
+    try:        # the floats DecodeConfig checked: values equal as floats are one cell
+        values = sorted({DecodeConfig(tau, tau).tau_exp
+                         for tau in (default_grid() if grid is None else grid)})
+    except TypeError:                               # a grid that is not iterable
+        values = []
+    if not values:
+        raise ValidationError(f"tuning grid must be a non-empty collection of taus, got {grid!r}")
     cells = [(tau_exp, tau_imp) for tau_exp in values for tau_imp in values]
-    floats = [float(value) for value in values]     # the table keeps the caller's values
 
     # Per cell, (n_pred, n_gold, n_correct) for each question, summed over
     # procedures. Gold procedures without any emissions score the same in
@@ -233,7 +234,7 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
         pid = procedure.id
         entity_ids = [entity_id for entity_id, _ in tracks]
         paths, columns = zip(*(
-            _entity_paths(procedure, entity_id, track, floats, model, vocabulary, relax)
+            _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
             for entity_id, track in tracks))
         scored, counts, index = {}, [], []  # index: per cell, into the distinct counts
         for combination in zip(*columns):

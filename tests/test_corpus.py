@@ -143,6 +143,15 @@ def test_track_length_contract():
         )
 
 
+@pytest.mark.parametrize("states, locations", [
+    (("exist",), None), (("exist",), ("?", "?")), (["exist"], (UNKNOWN_LOCATION,) * 2),
+    ((1,), (UNKNOWN_LOCATION,) * 2), (("exist",), (UNKNOWN_LOCATION, None)),
+    (("exist",), [UNKNOWN_LOCATION] * 2)])
+def test_track_takes_a_tuple_of_labels_and_one_of_location_values(states, locations):
+    with pytest.raises(ValidationError, match="tuple of labels and one of LocationValues"):
+        Track(states, locations)
+
+
 def test_fixture_corpus_is_consistent():
     procedures, grids = load_corpus(CORPUS_PROPARA, PROPARA)
     assert len(procedures) == 10

@@ -596,7 +596,7 @@ def test_emissions_round_trip(tmp_path):
             {
                 e.id: EmissionTrack(
                     state_logits=rng.normal(size=(procedure.num_steps, PROPARA.size)),
-                    location_preds=tuple(["unknown"] * (procedure.num_steps + 1)),
+                    location_preds=["none"] + ["soil"] * procedure.num_steps,
                 )
                 for e in procedure.entities
             },
@@ -610,6 +610,16 @@ def test_emissions_round_trip(tmp_path):
         restored = loaded[procedure.id].tracks[entity.id]
         assert np.array_equal(restored.state_logits, original.state_logits)
         assert restored.location_preds == original.location_preds
+        assert type(original.location_preds) is tuple
+
+
+@pytest.mark.parametrize("preds", [list(range(7)), ["-"] * 6 + [None], "-" * 7,
+                                   ("-",) * 6 + (b"-",), None, 7])
+def test_emission_track_rejects_location_predictions_that_are_not_strings(preds):
+    # The one check of location_preds: what a track is built with, a file of
+    # it can be loaded from.
+    with pytest.raises(ValidationError, match="'location_preds' must be a list of strings"):
+        EmissionTrack(np.zeros((6, 6)), preds)
 
 
 def test_emissions_load_rejects_duplicates(tmp_path):

@@ -111,6 +111,7 @@ def test_oracle_config_validates_rates():
         OracleConfig(seed=-1)
     for bad in ({"state_noise": "a"}, {"location_noise": None},
                 {"corruption_bias": {"implicit": "a"}}, {"corruption_bias": [1]},
+                {"corruption_bias": []}, {"corruption_bias": 0}, {"corruption_bias": ""},
                 {"seed": "a"}, {"seed": 1.5}, {"state_noise": Decimal("NaN")},
                 {"location_noise": Decimal("sNaN")}):
         with pytest.raises(ValidationError):
@@ -168,6 +169,10 @@ def test_configs_take_any_number_or_raise_validation_error(rates, bias):
         except ValidationError:
             pass
         else:
+            # The config holds the values its checks produced.
+            assert type(config.seed) is int
+            assert {type(config.state_noise), type(config.location_noise),
+                    *map(type, config.corruption_bias.values())} == {float}
             for mentioned in (True, False):
                 noise = config.effective_state_noise(mentioned)
                 assert type(noise) is float and 0 <= noise < 1

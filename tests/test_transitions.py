@@ -217,6 +217,22 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert '"-inf"' in path.read_text()
 
 
+@pytest.mark.parametrize("kind", [int, np.int64, np.int32])
+def test_numpy_integer_counts_save_and_load(tmp_path, kind):
+    # A numpy integer count is held as an int, so the model writes as JSON.
+    model = load_model(MODEL_PROPARA)
+    model = TransitionModel(PROPARA, model.start_scores, model.trans_scores,
+                            model.start_counts.astype(kind), model.trans_counts.astype(kind),
+                            sequence_count=kind(model.sequence_count))
+    assert type(model.sequence_count) is int
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert path.read_bytes() == MODEL_PROPARA.read_bytes()
+    loaded = load_model(path)
+    assert loaded.sequence_count == model.sequence_count
+    assert np.array_equal(loaded.trans_counts, model.trans_counts)
+
+
 def test_fixture_model_blocks_move_after_destroy():
     model = load_model(MODEL_PROPARA)
     destroy = PROPARA.index("destroy")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, MODEL_PROPARA, reference_
 from proctrack import tuner
 from proctrack.corpus import PROPARA, RECIPES
 from proctrack.consistency import resolve
-from proctrack.corpus import AnnotationGrid, Entity, Procedure, load_corpus
+from proctrack.corpus import AnnotationGrid, Entity, Procedure, load_corpus, write_json
 from proctrack.decoder import (DecodeConfig, EmissionSet, EmissionTrack, decode_entity,
                                load_emissions, viterbi, weight_emissions)
 from proctrack.errors import NoValidPathError, ValidationError
@@ -375,15 +376,30 @@ def test_each_distinct_count_row_is_scored_once(monkeypatch):
 
 @pytest.mark.parametrize("kind", [float, Decimal, Fraction, np.float32])
 def test_a_grid_of_any_real_type_tunes_as_floats(kind):
-    # Every value is a float exactly, so each type names the same cells.
+    # Every value is a float exactly, so each type names the same cells, and
+    # the result holds the floats the grid check produced.
     procedures, grids, model, emissions = _setup(n=2)
     values = (0.25, 0.5, 1.25)
     grid = [kind(str(v)) if kind is Decimal else kind(v) for v in values]
     as_floats = tune(procedures, grids, emissions, model, PROPARA, grid=values)
     result = tune(procedures, grids, emissions, model, PROPARA, grid=grid)
     assert [f1 for _, _, f1 in result.table] == [f1 for _, _, f1 in as_floats.table]
-    assert result.table[0][:2] == (grid[0], grid[0])
-    assert all(type(tau) is kind for row in result.table for tau in row[:2])
+    assert result == as_floats
+    assert all(type(tau) is float for row in result.table for tau in row[:2])
+    assert type(result.tau_exp) is type(result.tau_imp) is float
+
+
+def test_a_decimal_and_fraction_grid_writes_as_json_and_equal_floats_are_one_cell():
+    procedures, grids = load_corpus(CORPUS_PROPARA, PROPARA)
+    inputs = (procedures, grids, load_emissions(EMISSIONS_PROPARA, procedures, PROPARA),
+              load_model(MODEL_PROPARA), PROPARA)
+    result = tune(*inputs, grid=[Decimal("0.5"), Fraction(3, 4)])
+    taus = [result.tau_exp, result.tau_imp] + [tau for row in result.table for tau in row[:2]]
+    assert all(type(tau) is float for tau in taus) and len(result.table) == 4
+    assert json.loads(write_json(None, dataclasses.asdict(result)))["table"][-1][:2] == [0.75] * 2
+    one = tune(*inputs, grid=[Decimal("0.1"), 0.1])
+    assert one.table == tune(*inputs, grid=[0.1]).table
+    assert [row[:2] for row in one.table] == [(0.1, 0.1)]
 
 
 def test_grid_validation():
