@@ -11,8 +11,6 @@ import argparse
 import logging
 import sys
 
-import numpy as np
-
 # The modules `_load`, `run` and `build_parser` need; each command imports
 # the rest of what it runs, so a command compiles only its own modules.
 from . import corpus, decoder, transitions
@@ -296,10 +294,7 @@ def run(func, *args) -> int:
     an `error:` line on stderr, never a traceback. Every entry point (this
     module's commands and the scripts) returns through here."""
     try:
-        # Once per command, not per call: an overflowed weighted logit is
-        # reported as a ValidationError, not as a numpy warning.
-        with np.errstate(over="ignore"):
-            return func(*args)
+        return func(*args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -115,7 +115,8 @@ def weight_emissions(state_logits, flags, config: DecodeConfig) -> np.ndarray:
         mentioned = None
     if np.shape(mentioned) != logits.shape[:1]:
         raise ValidationError(f"mention flags must be one value per step ({len(logits)} steps)")
-    return logits * np.where(mentioned, config.tau_exp, config.tau_imp)[:, None]
+    with np.errstate(over="ignore"):        # an overflowed logit fails viterbi's finiteness check
+        return logits * np.where(mentioned, config.tau_exp, config.tau_imp)[:, None]
 
 
 def argmax_states(state_logits, vocabulary: StateVocabulary) -> list[str]:
@@ -132,7 +133,8 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False,
             runner_up: bool = False):
     """Best state sequence under start + emission + transition scores.
 
-    Emissions that are not a (T, L) matrix of numbers raise ValidationError.
+    Emissions that are not a (T, L) matrix of finite numbers raise
+    ValidationError, as does a best path whose score overflows a float.
     Returns (labels, score). Ties are broken toward the lowest label index
     at every backpointer decision. Raises NoValidPathError when every
     sequence scores -inf; with relax=True it then ranks sequences by fewest
@@ -226,6 +228,8 @@ def _max_plus(rows, start, steps):
     if dp[last] == veto:
         raise NoValidPathError(f"no state sequence of length {len(rows)} "
                                "has finite score under the model")
+    if dp[last] == math.inf:
+        raise ValidationError("the best path's score overflows a float")
     path = [last]
     for best_prev in reversed(backptr):
         path.append(best_prev[path[-1]])
@@ -256,7 +260,8 @@ def rounding_bound(state_logits, tau: float, model: TransitionModel) -> float:
     start_max, trans_max = (float(np.abs(scores[np.isfinite(scores)]).max(initial=0.0))
                             for scores in (model.start_scores, model.trans_scores))
     steps = len(row_max)
-    mass = start_max + (steps - 1) * trans_max + tau * float(row_max.sum())
+    with np.errstate(over="ignore"):        # an overflowed sum makes B infinite below
+        mass = start_max + (steps - 1) * trans_max + tau * float(row_max.sum())
     if not mass < 1e300:
         return math.inf
     n = (2 * steps + 2) * 2.0 ** -53

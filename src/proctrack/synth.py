@@ -108,10 +108,15 @@ def synth_emissions(procedures, grids, vocabulary: StateVocabulary,
     row then encodes that observation's channel: log(1 - eps) for the
     observed label and log(eps / (L - 1)) elsewhere, with eps = 0 mapped to
     +10 / -10 margins. Location slots emit the gold answer string, degraded
-    to "unknown" at the location noise rate.
+    to "unknown" at the location noise rate. A rate whose eps / (L - 1)
+    underflows to 0 has no finite logit and raises ValidationError.
     """
-    rng = np.random.default_rng(config.seed)
     size = vocabulary.size
+    for eps in map(config.effective_state_noise, (True, False)):
+        if size > 1 and eps > 0 and eps / (size - 1) == 0:
+            raise ValidationError(f"state noise {eps} is too small to spread over the "
+                                  f"{size - 1} wrong labels of {size}: it underflows to 0")
+    rng = np.random.default_rng(config.seed)
     sets: dict[str, EmissionSet] = {}
     for procedure in procedures:
         grid = grids.get(procedure.id)

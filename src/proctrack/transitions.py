@@ -41,8 +41,11 @@ class TransitionModel:
             raise ValidationError(f"trans_scores must have shape ({size}, {size})")
         if np.isnan(self.start_scores).any() or np.isnan(self.trans_scores).any():
             raise ValidationError("scores must not contain NaN")
-        if np.isposinf(self.start_scores).any() or np.isposinf(self.trans_scores).any():
-            raise ValidationError("scores must be finite or -inf")
+        # Past 1e300 a path's sum could overflow, which a decode would report
+        # against an entity rather than the model.
+        if not all((np.isneginf(s) | (np.abs(s) <= 1e300)).all()
+                   for s in (self.start_scores, self.trans_scores)):
+            raise ValidationError("scores must be -inf or finite, at most 1e300 in magnitude")
         self.start_counts = _counts(self.start_counts, (size,), "start_counts")
         self.trans_counts = _counts(self.trans_counts, (size, size), "trans_counts")
         if not _is_count(self.sequence_count):

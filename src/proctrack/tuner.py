@@ -169,7 +169,8 @@ def _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
             resolved.append(resolve(states, track.location_preds, vocabulary).track())
             labels = [model.vocabulary.index(state) for state in states]
             emitted = logits[np.arange(len(labels)), labels]
-            per_exp, per_imp = float(emitted[mentioned].sum()), float(emitted[~mentioned].sum())
+            with np.errstate(over="ignore"):     # an infinite sum only sways predictions
+                per_exp, per_imp = (float(emitted[m].sum()) for m in (mentioned, ~mentioned))
             terms.append((score - values[i] * per_exp - values[j] * per_imp, per_exp, per_imp))
         at[i, j] = path_index[states]
         strong[i, j] = score - runner_up > threshold
@@ -207,7 +208,6 @@ def _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
     return resolved, np.broadcast_to(at, (len(values),) * 2).ravel().tolist()
 
 
-@np.errstate(over="ignore")     # an overflowed weighted logit fails its decode, unwarned
 def tune(procedures, gold_grids, emissions, model: TransitionModel,
          vocabulary: StateVocabulary, grid=None, relax: bool = False) -> TuneResult:
     """Score every grid cell and return the best plus the full table."""

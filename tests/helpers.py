@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from proctrack.consistency import resolve
-from proctrack.corpus import (NO_LOCATION, PROPARA, SPAN, UNKNOWN_LOCATION, AnnotationGrid,
-                              LocationValue, StateVocabulary)
+from proctrack.corpus import (NO_LOCATION, NONEXISTENT, PROPARA, SPAN, UNKNOWN_LOCATION,
+                              AnnotationGrid, LocationValue, StateVocabulary)
 from proctrack.decoder import DecodeConfig, detect_mentions, weight_emissions
 from proctrack.errors import NoValidPathError
 from proctrack.evaluator import eval_document_level
@@ -193,6 +193,102 @@ def reference_tune(procedures, gold_grids, emissions, model: TransitionModel,
         if best is None or row[2] > best[2]:
             best = row
     return TuneResult(tau_exp=best[0], tau_imp=best[1], f1=best[2], table=tuple(rows))
+
+
+def reference_scores(gold, pred, vocabulary: StateVocabulary) -> dict:
+    """The integer counts of the three scoring protocols, written from their
+    definitions with no code shared with `proctrack.evaluator`. `gold` and
+    `pred` map procedure ids to grids; a gold entity without a predicted
+    track has no predicted answers. Locations compare by
+    `LocationValue.matches`. Returns
+
+    - "document": (n_pred, n_gold, n_correct) for inputs, outputs,
+      conversions and moves (ProStruct, Tandon et al. 2018). An input exists
+      before the first step and not after the last; an output the reverse. A
+      conversion is an entity destroyed at step t where another is created at
+      step t, at one place that is not "-". A move is (step, from, to).
+    - "sentence": (n_correct, n_scored) for Cat-1, Cat-2 and Cat-3 (ProPara,
+      Dalvi et al. 2018), over each gold entity and event (create, destroy,
+      move). Cat-1: the event happens in the prediction iff in gold. Cat-2,
+      for events in gold: the prediction has it at exactly gold's steps.
+      Cat-3, for events in gold: at each of gold's steps, the prediction's
+      places (created at slot t, destroyed from slot t - 1, moved from slot
+      t - 1 to slot t) match gold's.
+    - "location_changes": (n_pred, n_gold, n_correct) over (entity, step t,
+      place) where slot t's place does not match slot t - 1's, for the
+      recipes vocabulary; else None.
+    """
+    def tracks(grids):
+        return [(pid, eid, track) for pid, grid in grids.items()
+                for eid, track in grid.entries.items()]
+
+    def exists(location):
+        return location.kind != NONEXISTENT
+
+    def same(a, b):             # two answers: equal, with places compared by `matches`
+        return len(a) == len(b) and all(
+            x.matches(y) if isinstance(x, LocationValue) else x == y for x, y in zip(a, b))
+
+    def counted(pred_answers, gold_answers):
+        correct = sum(any(same(p, g) for g in gold_answers) for p in pred_answers)
+        return len(pred_answers), len(gold_answers), correct
+
+    def document(grids):
+        answers = {"inputs": [], "outputs": [], "conversions": [], "moves": []}
+        for pid, eid, track in tracks(grids):
+            before, after = track.locations[0], track.locations[-1]
+            if exists(before) and not exists(after):
+                answers["inputs"].append((pid, eid))
+            if not exists(before) and exists(after):
+                answers["outputs"].append((pid, eid))
+            for t, state in enumerate(track.states, start=1):
+                if state == "move":
+                    answers["moves"].append(
+                        (pid, eid, t, track.locations[t - 1], track.locations[t]))
+            for other_pid, other_eid, other in tracks(grids):
+                if other_pid != pid:
+                    continue
+                for t, (state, other_state) in enumerate(zip(track.states, other.states), 1):
+                    place = track.locations[t - 1]
+                    if (state == "destroy" and other_state == "create" and exists(place)
+                            and place.matches(other.locations[t])):
+                        answers["conversions"].append((pid, t, eid, other_eid, place))
+        return answers
+
+    gold_answers, pred_answers = document(gold), document(pred)
+    result = {"document": [counted(pred_answers[q], gold_answers[q]) for q in
+                           ("inputs", "outputs", "conversions", "moves")]}
+
+    def places(track, event, t):
+        slots = {"create": [t], "destroy": [t - 1], "move": [t - 1, t]}[event]
+        return [track.locations[slot] for slot in slots]
+
+    cats = [[0, 0], [0, 0], [0, 0]]             # [n_correct, n_scored] per category
+    for pid, eid, gold_track in tracks(gold):
+        pred_track = pred[pid].entries.get(eid) if pid in pred else None
+        for event in ("create", "destroy", "move"):
+            gold_steps = [t for t, s in enumerate(gold_track.states, 1) if s == event]
+            pred_steps = [] if pred_track is None else [
+                t for t, s in enumerate(pred_track.states, 1) if s == event]
+            cats[0][0] += (len(gold_steps) > 0) == (len(pred_steps) > 0)
+            cats[0][1] += 1
+            if gold_steps:
+                cats[1][0] += pred_steps == gold_steps
+                cats[1][1] += 1
+                cats[2][0] += pred_track is not None and all(
+                    same(places(pred_track, event, t), places(gold_track, event, t))
+                    for t in gold_steps)
+                cats[2][1] += 1
+    result["sentence"] = [tuple(cat) for cat in cats]
+
+    def changes(grids):
+        return [(pid, eid, t, track.locations[t]) for pid, eid, track in tracks(grids)
+                for t in range(1, len(track.locations))
+                if not track.locations[t].matches(track.locations[t - 1])]
+
+    result["location_changes"] = (counted(changes(pred), changes(gold))
+                                  if vocabulary.name == "recipes" else None)
+    return result
 
 
 # The two lifecycle samplers as they were written before `synth` shared one
@@ -424,6 +520,7 @@ __all__ = [
     "relaxed_path_scores",
     "strict_else_relaxed_reference",
     "reference_tune",
+    "reference_scores",
     "reference_propara_track",
     "reference_recipes_track",
     "fuzz_vocabulary",

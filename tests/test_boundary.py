@@ -10,13 +10,17 @@ from decimal import Decimal
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import numpy as np
+
 from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, MODEL_PROPARA
 from proctrack.consistency import resolve
 from proctrack.corpus import PROPARA, AnnotationGrid, LocationValue, Track, load_corpus, write_json
-from proctrack.decoder import DecodeConfig, EmissionTrack, load_emissions, weight_emissions
+from proctrack.decoder import (DecodeConfig, EmissionSet, EmissionTrack, decode_entity,
+                               load_emissions, rounding_bound, save_emissions, weight_emissions)
 from proctrack.errors import ToolkitError, ValidationError
 from proctrack.evaluator import eval_document_level
-from proctrack.pipeline import to_payload
+from proctrack.pipeline import report_dict, run_pipeline, to_payload
+from proctrack.synth import OracleConfig, synth_emissions
 from proctrack.transitions import estimate, load_model, save_model
 from proctrack.tuner import parse_grid, tune
 from test_cli import JSON_VALUES
@@ -116,3 +120,53 @@ def test_eval_document_level_takes_any_track_values_or_raises_validation_error(d
         return eval_document_level(*((fuzzed, valid) if gold else (valid, fuzzed)))
 
     _written_or_rejected(call, lambda report: write_json(None, to_payload(report)))
+
+
+# Every (procedure, entity, track) of the fixture emissions, in file order:
+# the first is hydropower's water, six steps long.
+TRACKS = [(procedure, procedure.entity(entity_id), track) for procedure in FIXTURES[0]
+          for entity_id, track in FIXTURES[2][procedure.id].tracks.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(taus=st.tuples(NUMBERS, NUMBERS), which=st.integers(0, len(TRACKS) - 1),
+       ones=st.booleans(), scale=st.sampled_from([1.0, -1.0]), power=st.integers(0, 308))
+@example(taus=(1e308, 1e308), which=0, ones=False, scale=1.0, power=0)  # weighting overflows
+@example(taus=(0.6, 0.7), which=0, ones=True, scale=1.0, power=308)     # a path's score does
+def test_decoding_takes_any_taus_and_logit_scale_or_raises_toolkit_error(taus, which, ones,
+                                                                        scale, power):
+    """One track's logits, or ones in their place, times +-10**power and
+    decoded at any taus: `rounding_bound`, `decode_entity` and `run_pipeline`
+    give a result or a ToolkitError, never a warning."""
+    procedures, grids, emissions, model = FIXTURES
+    procedure, entity, track = TRACKS[which]
+    logits = np.ones_like(track.state_logits) if ones else track.state_logits
+    with np.errstate(over="ignore"):        # a logit past the float range is rejected below
+        logits = logits * scale * 10.0 ** power
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config = DecodeConfig(*taus)
+            track = EmissionTrack(logits, track.location_preds)
+        except ValidationError:
+            return
+        assert rounding_bound(logits, max(config.tau_exp, config.tau_imp), model) >= 0
+        scaled = {**emissions, procedure.id: EmissionSet(procedure.id, {
+            **emissions[procedure.id].tracks, entity.id: track})}
+        try:
+            decode_entity(procedure, entity, track, model, config)
+            write_json(None, report_dict(run_pipeline(procedures, grids, scaled, model,
+                                                      PROPARA, config)))
+        except ToolkitError:
+            pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(rates=st.tuples(NUMBERS, NUMBERS, NUMBERS, NUMBERS))
+@example(rates=(5e-324, 0.0, 0.0, 0.0))     # eps / (L - 1) underflows to 0
+def test_synth_emissions_takes_any_oracle_config_or_raises_validation_error(rates):
+    state_noise, location_noise, explicit, implicit = rates
+    _written_or_rejected(
+        lambda: synth_emissions(*FIXTURES[:2], PROPARA, OracleConfig(
+            state_noise, location_noise, {"explicit": explicit, "implicit": implicit})),
+        lambda sets: save_emissions(sets, os.devnull))

@@ -306,6 +306,45 @@ def test_overflowed_weighted_logit_names_the_entity(tmp_path, capsys, command):
             "emission scores must all be finite") in capsys.readouterr().err
 
 
+def _huge_first_track(tmp_path):
+    """The fixture emissions with every logit of line 1, hydropower's water
+    (six steps), set to 1e308: a path's score overflows once weighted by a
+    tau above about 0.3."""
+    bad = tmp_path / "emissions.jsonl"
+    _rewrite_line(EMISSIONS_PROPARA, bad, 1, "state_logits",
+                  lambda rows: [[1e308] * len(row) for row in rows])
+    return bad
+
+
+@pytest.mark.parametrize("command", ["decode", "pipeline"])
+def test_overflowed_path_score_exits_two_naming_the_entity(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main([command, *_corpus_args(), "--emissions", str(_huge_first_track(tmp_path)),
+                 "--model", str(MODEL_PROPARA), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == ("error: procedure 'hydropower', entity 'water': "
+                                       "the best path's score overflows a float\n")
+    assert not out.exists()
+
+
+def test_overflowed_path_score_in_tune_names_the_cell(tmp_path, capsys):
+    code = main(["tune", *_corpus_args(), "--emissions", str(_huge_first_track(tmp_path)),
+                 "--model", str(MODEL_PROPARA), "--grid", "0.5:0.5:0.1"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: grid cell (0.5, 0.5): procedure 'hydropower', entity 'water': "
+        "the best path's score overflows a float\n")
+
+
+def test_synth_rate_that_underflows_exits_two_naming_it(tmp_path, capsys):
+    out = tmp_path / "emissions.jsonl"
+    code = main(["synth", *_corpus_args(), "--state-noise", "5e-324", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == ("error: state noise 5e-324 is too small to spread over "
+                                       "the 5 wrong labels of 6: it underflows to 0\n")
+    assert not out.exists()
+
+
 def _first_track(record):
     return record["gold"][next(iter(record["gold"]))]
 
@@ -568,6 +607,8 @@ BAD_MODELS = {
     "short-start-scores": lambda m: m.update(start_scores=m["start_scores"][:3]),
     "duplicate-labels": lambda m: m["labels"].__setitem__(1, m["labels"][0]),
     "bool-score": lambda m: m["start_scores"].__setitem__(0, True),
+    # A path through it would sum past the float range.
+    "huge-score": lambda m: m["transition_scores"][0].__setitem__(0, 1.6e307),
     "short-start-counts": lambda m: m.update(start_counts=m["start_counts"][:3]),
     "bool-count": lambda m: m["start_counts"].__setitem__(0, True),
     "negative-count": lambda m: m["transition_counts"][1].__setitem__(1, -1),

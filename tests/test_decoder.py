@@ -505,6 +505,21 @@ def test_rounding_bound_holds_when_every_addition_rounds_down():
     assert error <= Fraction(rounding_bound(logits, 1.0, model))
 
 
+def test_rounding_bound_is_infinite_when_the_logit_sum_overflows():
+    model = TransitionModel(vocabulary=PROPARA, start_scores=np.zeros(6),
+                            trans_scores=np.zeros((6, 6)))
+    assert rounding_bound(np.full((3, 6), 1e308), 1.0, model) == math.inf
+
+
+def test_a_best_path_whose_score_overflows_raises_validation_error():
+    model = TransitionModel(vocabulary=fuzz_vocabulary(2), start_scores=np.zeros(2),
+                            trans_scores=np.zeros((2, 2)))
+    assert viterbi(np.full((2, 2), 8e307), model)[1] == 1.6e308
+    for relax in (False, True):
+        with pytest.raises(ValidationError, match="the best path's score overflows a float"):
+            viterbi(np.full((3, 2), 8e307), model, relax=relax)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),

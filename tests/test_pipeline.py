@@ -18,7 +18,8 @@ from proctrack.corpus import (
     load_corpus,
     load_predictions,
 )
-from proctrack.decoder import DecodeConfig, load_emissions
+from proctrack.decoder import DecodeConfig, decode_entity, load_emissions
+from proctrack.errors import ValidationError
 from proctrack.pipeline import report_dict, run_pipeline, write_outputs
 from proctrack.synth import OracleConfig, make_corpus, synth_emissions
 from proctrack.transitions import estimate, load_model
@@ -30,6 +31,17 @@ def _fixture_inputs(vocab="propara"):
     model = load_model(FIXTURES / f"model_{vocab}.json")
     emissions = load_emissions(FIXTURES / f"emissions_{vocab}.jsonl", procedures, vocabulary)
     return procedures, grids, model, emissions
+
+
+def test_taus_that_overflow_the_weighted_logits_raise_validation_error():
+    procedures, grids, model, emissions = _fixture_inputs()
+    config = DecodeConfig(1e308, 1e308)
+    with pytest.raises(ValidationError, match="emission scores must all be finite"):
+        run_pipeline(procedures, grids, emissions, model, PROPARA, config)
+    procedure = procedures[0]
+    entity_id, track = next(iter(emissions[procedure.id].tracks.items()))
+    with pytest.raises(ValidationError, match="emission scores must all be finite"):
+        decode_entity(procedure, procedure.entity(entity_id), track, model, config)
 
 
 def test_noiseless_run_is_perfect():

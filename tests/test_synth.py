@@ -118,6 +118,22 @@ def test_oracle_config_validates_rates():
             OracleConfig(**bad)
 
 
+@pytest.mark.parametrize("bias", [{}, {"explicit": 5e-324}, {"implicit": 5e-324}])
+def test_a_rate_too_small_to_spread_over_the_wrong_labels_raises_validation_error(bias):
+    # eps / (L - 1) underflows to 0 on propara's six labels, but not on
+    # recipes' two, whose one wrong label takes all of eps.
+    config = OracleConfig(state_noise=0.0 if bias else 5e-324, corruption_bias=bias)
+    procedures, grids = make_corpus(3, PROPARA, seed=2)
+    with pytest.raises(ValidationError, match=re.escape(
+            "state noise 5e-324 is too small to spread over the 5 wrong labels of 6")):
+        synth_emissions(procedures, grids, PROPARA, config)
+    procedures, grids = make_corpus(3, RECIPES, seed=2)
+    sets = synth_emissions(procedures, grids, RECIPES, config)
+    logits = np.concatenate([track.state_logits for s in sets.values()
+                             for track in s.tracks.values()])
+    assert np.isfinite(logits).all()
+
+
 def test_effective_noise_composes_bias_terms():
     config = OracleConfig(state_noise=0.1, corruption_bias={"implicit": 0.2})
     assert config.effective_state_noise(True) == pytest.approx(0.1)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -400,6 +401,20 @@ def test_a_decimal_and_fraction_grid_writes_as_json_and_equal_floats_are_one_cel
     one = tune(*inputs, grid=[Decimal("0.1"), 0.1])
     assert one.table == tune(*inputs, grid=[0.1]).table
     assert [row[:2] for row in one.table] == [(0.1, 0.1)]
+
+
+def test_a_path_score_that_overflows_names_its_cell():
+    # Every logit of the fixtures' first track (hydropower's water, six
+    # steps) set to 1e308: at tau 0.1 a path sums to 6e307, at 0.5 to +inf.
+    procedures, grids = load_corpus(CORPUS_PROPARA, PROPARA)
+    emissions = load_emissions(EMISSIONS_PROPARA, procedures, PROPARA)
+    emissions["hydropower"].tracks["water"].state_logits[:] = 1e308
+    model = load_model(MODEL_PROPARA)
+    tune(procedures, grids, emissions, model, PROPARA, grid=[0.1])
+    with pytest.raises(ValidationError, match=re.escape(
+            "grid cell (0.5, 0.5): procedure 'hydropower', entity 'water': "
+            "the best path's score overflows a float")):
+        tune(procedures, grids, emissions, model, PROPARA, grid=[0.5])
 
 
 def test_grid_validation():
