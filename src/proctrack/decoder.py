@@ -134,15 +134,16 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False,
     """Best state sequence under start + emission + transition scores.
 
     Emissions that are not a (T, L) matrix of finite numbers raise
-    ValidationError, as does a best path whose score overflows a float.
-    Returns (labels, score). Ties are broken toward the lowest label index
-    at every backpointer decision. Raises NoValidPathError when every
-    sequence scores -inf; with relax=True it then ranks sequences by fewest
-    vetoed (-inf) starts and transitions first and score second, a vetoed
-    entry adding 0 (a lexicographic semiring, Roark, Sproat & Shafran 2011).
-    That decode runs the same kernel over the same labels, on only the
-    entries that lie on some fewest-veto path (`veto_counts`). So a vetoed
-    path is picked only when no legal one exists.
+    ValidationError, as does a best path whose score overflows a float to
+    +inf or -inf, relaxed or not. Returns (labels, score). Ties are broken
+    toward the lowest label index at every backpointer decision. Raises
+    NoValidPathError when every sequence has a vetoed (-inf) start or
+    transition; with relax=True it then ranks sequences by fewest vetoes
+    first and score second, a vetoed entry adding 0 (a lexicographic
+    semiring, Roark, Sproat & Shafran 2011). That decode runs the same
+    kernel over the same labels, on only the entries that lie on some
+    fewest-veto path (`veto_counts`). So a vetoed path is picked only when
+    no legal one exists.
 
     With runner_up=True it returns (labels, score, runner_up): runner_up is
     the second-highest score over all label sequences of the same decode,
@@ -161,18 +162,20 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False,
 
     rows = U.tolist()
     start, trans = model.start_scores, model.trans_scores
-    try:
-        path, score, second = _max_plus(rows, start, [_incoming(trans)] * (len(rows) - 1))
-    except NoValidPathError:
+    path, score, second = _max_plus(rows, start, [_incoming(trans)] * (len(rows) - 1))
+    # A -inf best score is a missing path only if every path takes a veto.
+    if score == -math.inf and (counts := veto_counts(model, len(rows)))[-1].min() > 0:
         if not relax:
-            raise
-        counts = veto_counts(model, len(rows))
+            raise NoValidPathError(f"no state sequence of length {len(rows)} "
+                                   "has finite score under the model")
         # Each prefix of a fewest-veto path has its label's fewest vetoes at
         # its length, so a step keeps only the entries that hold them; no
         # entry reaches a last label above the fewest.
         counts[-1][counts[-1] > counts[-1].min()] = -1
         steps = [_incoming(_fewest(trans, a[:, None], b)) for a, b in zip(counts, counts[1:])]
         path, score, second = _max_plus(rows, _fewest(start, 0, counts[0]), steps)
+    if not math.isfinite(score):
+        raise ValidationError("the best path's score overflows a float")
     labels = [model.vocabulary.labels[i] for i in path]
     return (labels, score, second) if runner_up else (labels, score)
 
@@ -193,7 +196,7 @@ def _incoming(trans):
 
 def _max_plus(rows, start, steps):
     """(label indices, score, runner_up) for logit rows, start scores and one
-    `_incoming` edge list per step after the first; see `viterbi`."""
+    `_incoming` edge list per step after the first; `viterbi` judges the score."""
     # Max-plus over Python floats: the same IEEE additions in the same order
     # as a numpy formulation, without its per-step array overhead at L <= 6.
     # Each state also keeps the second-best score of the prefixes ending in
@@ -225,11 +228,6 @@ def _max_plus(rows, start, steps):
         dp, dp2 = step, step2
         backptr.append(best_prev)
     last = max(range(len(dp)), key=dp.__getitem__)
-    if dp[last] == veto:
-        raise NoValidPathError(f"no state sequence of length {len(rows)} "
-                               "has finite score under the model")
-    if dp[last] == math.inf:
-        raise ValidationError("the best path's score overflows a float")
     path = [last]
     for best_prev in reversed(backptr):
         path.append(best_prev[path[-1]])

@@ -185,7 +185,8 @@ def _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
             constant, per_exp, per_imp = np.array(terms).T[:, :, None, None]
             with np.errstate(all="ignore"):
                 predicted = (constant + per_exp * taus_exp + per_imp * taus_imp).argmax(axis=0)
-            for path in np.unique(predicted[unsettled]).tolist():
+            # Each predicted path once, in order; np.unique would import numpy.ma.
+            for path in np.flatnonzero(np.bincount(predicted[unsettled])).tolist():
                 group = unsettled & (predicted == path)
                 vertices = _hull(group | (strong & (at == path)), x, y)
                 for i, j in vertices:

@@ -12,11 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import numpy as np
 
-from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, MODEL_PROPARA
+from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, MODEL_PROPARA, reference_detect_mentions
 from proctrack.consistency import resolve
-from proctrack.corpus import PROPARA, AnnotationGrid, LocationValue, Track, load_corpus, write_json
+from proctrack.corpus import (PROPARA, AnnotationGrid, Entity, LocationValue, Procedure, Track,
+                              load_corpus, write_json)
 from proctrack.decoder import (DecodeConfig, EmissionSet, EmissionTrack, decode_entity,
-                               load_emissions, rounding_bound, save_emissions, weight_emissions)
+                               detect_mentions, load_emissions, rounding_bound, save_emissions,
+                               weight_emissions)
 from proctrack.errors import ToolkitError, ValidationError
 from proctrack.evaluator import eval_document_level
 from proctrack.pipeline import report_dict, run_pipeline, to_payload
@@ -170,3 +172,30 @@ def test_synth_emissions_takes_any_oracle_config_or_raises_validation_error(rate
         lambda: synth_emissions(*FIXTURES[:2], PROPARA, OracleConfig(
             state_noise, location_noise, {"explicit": explicit, "implicit": implicit})),
         lambda sets: save_emissions(sets, os.devnull))
+
+
+# Text a JSON file can carry: any code point but a lone surrogate. Words and
+# letters whose lowercase is ASCII or more than one code point (the Kelvin
+# sign, dotted capital I, sharp s) are mixed in, so that aliases do match.
+_WORDS = ("water", "Water", "WATER", "h2o", "\u212aelvin", "kelvin", "\u0130", "i", "\u00df",
+          "ss", ";", " ", "")
+JSON_TEXT = st.lists(st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+                     | st.sampled_from(_WORDS), min_size=1, max_size=5).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(JSON_TEXT, min_size=1, max_size=4), raw_name=JSON_TEXT)
+def test_detect_mentions_takes_any_text_or_raises_validation_error(steps, raw_name):
+    """Steps and an entity name of any such text fail to build with a
+    ValidationError, or give one flag per step, each true exactly when some
+    alias's lowercased [a-z0-9]+ tokens run contiguously in the step's."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            entity = Entity.from_raw("e", raw_name)
+            procedure = Procedure("p", tuple(steps), (entity,))
+        except ValidationError:
+            return
+        flags = detect_mentions(procedure, entity)
+    assert len(flags) == len(steps) and set(map(type, flags)) <= {bool}
+    assert flags == reference_detect_mentions(procedure, entity)

@@ -306,13 +306,13 @@ def test_overflowed_weighted_logit_names_the_entity(tmp_path, capsys, command):
             "emission scores must all be finite") in capsys.readouterr().err
 
 
-def _huge_first_track(tmp_path):
+def _huge_first_track(tmp_path, logit=1e308):
     """The fixture emissions with every logit of line 1, hydropower's water
-    (six steps), set to 1e308: a path's score overflows once weighted by a
-    tau above about 0.3."""
+    (six steps), set to `logit`: at +-1e308 a path's score overflows once
+    weighted by a tau above about 0.3."""
     bad = tmp_path / "emissions.jsonl"
     _rewrite_line(EMISSIONS_PROPARA, bad, 1, "state_logits",
-                  lambda rows: [[1e308] * len(row) for row in rows])
+                  lambda rows: [[logit] * len(row) for row in rows])
     return bad
 
 
@@ -321,6 +321,20 @@ def test_overflowed_path_score_exits_two_naming_the_entity(tmp_path, capsys, com
     out = tmp_path / "out"
     code = main([command, *_corpus_args(), "--emissions", str(_huge_first_track(tmp_path)),
                  "--model", str(MODEL_PROPARA), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == ("error: procedure 'hydropower', entity 'water': "
+                                       "the best path's score overflows a float\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("relax", [False, True])
+def test_path_score_overflowed_to_minus_inf_exits_two_naming_the_entity(tmp_path, capsys,
+                                                                        relax):
+    """A legal path exists, so a -inf best score is overflow, not a missing
+    path (exit 3), with or without --relax."""
+    out, bad = tmp_path / "out", _huge_first_track(tmp_path, -1e308)
+    code = main(["decode", *_corpus_args(), "--emissions", str(bad), "--model", str(MODEL_PROPARA),
+                 "--out", str(out), *["--relax"] * relax])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == ("error: procedure 'hydropower', entity 'water': "
                                        "the best path's score overflows a float\n")

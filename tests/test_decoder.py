@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     CORPUS_PROPARA,
+    MODEL_PROPARA,
     brute_force_decode,
     fuzz_vocabulary,
     path_score,
@@ -19,7 +20,8 @@ from helpers import (
     reference_viterbi,
     strict_else_relaxed_reference,
 )
-from proctrack.corpus import PROPARA, RECIPES, Entity, LocationValue, Procedure, Track
+from proctrack.corpus import (PROPARA, RECIPES, Entity, LocationValue, Procedure,
+                              StateVocabulary, Track)
 from proctrack.corpus import AnnotationGrid
 from proctrack.corpus import load_corpus
 from proctrack.decoder import (
@@ -37,7 +39,8 @@ from proctrack.decoder import (
 )
 from proctrack.errors import NoValidPathError, ValidationError
 from proctrack.synth import make_corpus
-from proctrack.transitions import TransitionModel, estimate, validate_path_exists, veto_counts
+from proctrack.transitions import (TransitionModel, estimate, load_model, validate_path_exists,
+                                   veto_counts)
 
 
 def _single_track_model():
@@ -512,12 +515,81 @@ def test_rounding_bound_is_infinite_when_the_logit_sum_overflows():
 
 
 def test_a_best_path_whose_score_overflows_raises_validation_error():
+    """To +inf or -inf, strict or relaxed: a -inf best score is a missing
+    path (NoValidPathError) only when every path takes a veto."""
+    overflows = "the best path's score overflows a float"
     model = TransitionModel(vocabulary=fuzz_vocabulary(2), start_scores=np.zeros(2),
                             trans_scores=np.zeros((2, 2)))
     assert viterbi(np.full((2, 2), 8e307), model)[1] == 1.6e308
     for relax in (False, True):
-        with pytest.raises(ValidationError, match="the best path's score overflows a float"):
+        with pytest.raises(ValidationError, match=overflows):
             viterbi(np.full((3, 2), 8e307), model, relax=relax)
+        with pytest.raises(ValidationError, match=overflows):
+            viterbi(np.full((6, 6), -1e308), load_model(MODEL_PROPARA), relax=relax)
+    vetoing = TransitionModel(vocabulary=fuzz_vocabulary(2), start_scores=np.zeros(2),
+                              trans_scores=np.full((2, 2), -np.inf))
+    assert viterbi(np.full((2, 2), -8e307), vetoing, relax=True) == (["s0", "s0"], -1.6e308)
+    with pytest.raises(NoValidPathError, match="no state sequence of length 3"):
+        viterbi(np.full((3, 2), -8e307), vetoing)
+    with pytest.raises(ValidationError, match=overflows):
+        viterbi(np.full((3, 2), -8e307), vetoing, relax=True)
+
+
+def _permuted(model, order):
+    """`model` with its labels in `order` (a permutation of label indices)."""
+    vocabulary = model.vocabulary
+    return TransitionModel(
+        vocabulary=StateVocabulary(vocabulary.name, tuple(vocabulary.labels[i] for i in order),
+                                   vocabulary.nonexistent_states),
+        start_scores=model.start_scores[order],
+        trans_scores=model.trans_scores[np.ix_(order, order)])
+
+
+def _outcome(decode):
+    """The repr of what `decode()` returns, or NoValidPathError: equal reprs
+    hold bit-equal floats, 0.0 and -0.0 apart."""
+    try:
+        return repr(decode())
+    except NoValidPathError:
+        return NoValidPathError
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=2 ** 32 - 1),
+    st.sampled_from([0.0, 0.2, 0.5, 0.8]),
+    st.data(),
+)
+def test_decoding_is_equivariant_under_label_permutation(n_labels, n_steps, seed, veto_rate,
+                                                        data):
+    """Reordering the labels (logit columns, start scores, transition rows
+    and columns) changes no decoded label, score or runner-up bit, strict or
+    relaxed, nor whether a decode has no legal path. Random normal scores
+    leave no tie between path sums, so the lowest-index tie-break never
+    decides."""
+    rng = np.random.default_rng(seed)
+    start, trans = rng.normal(size=n_labels), rng.normal(size=(n_labels, n_labels))
+    start[rng.random(n_labels) < veto_rate] = -np.inf
+    trans[rng.random((n_labels, n_labels)) < veto_rate] = -np.inf
+    model = TransitionModel(vocabulary=fuzz_vocabulary(n_labels), start_scores=start,
+                            trans_scores=trans)
+    logits = rng.normal(size=(n_steps, n_labels))
+    order = data.draw(st.permutations(range(n_labels)), label="order")
+    permuted = _permuted(model, order)
+    for relax in (False, True):
+        assert (_outcome(lambda: viterbi(logits, model, relax=relax, runner_up=True))
+                == _outcome(lambda: viterbi(logits[:, order], permuted, relax=relax,
+                                            runner_up=True)))
+    procedure = _procedure(data.draw(st.lists(st.sampled_from(["Water flows.", "Salt stays."]),
+                                              min_size=n_steps, max_size=n_steps)))
+    entity = procedure.entities[0]
+    preds = ["-"] * (n_steps + 1)
+    decoded = [_outcome(lambda: decode_entity(procedure, entity, EmissionTrack(scores, preds),
+                                              which, DecodeConfig()))
+               for scores, which in ((logits, model), (logits[:, order], permuted))]
+    assert decoded[0] == decoded[1]
 
 
 @settings(max_examples=40, deadline=None)

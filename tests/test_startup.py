@@ -40,12 +40,11 @@ def _fresh(code):
 
 
 def _cli_imports(*argv):
-    """(stdout, the proctrack modules imported) of `python -m proctrack.cli
-    argv` in a fresh process, which must exit 0."""
+    """(stdout, every module imported) of `python -m proctrack.cli argv` in a
+    fresh process, which must exit 0."""
     proc = _python("-X", "importtime", "-m", "proctrack.cli", *argv)
-    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")}
-    return proc.stdout, {name for name in names if name.split(".")[0] == "proctrack"}
+    return proc.stdout, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                         if line.startswith("import time:")}
 
 
 def test_import_proctrack_loads_no_submodule():
@@ -87,15 +86,18 @@ def test_pipeline_imports_neither_synth_nor_qaformat_nor_tuner(tmp_path):
     assert not imported & {"proctrack.synth", "proctrack.qaformat", "proctrack.tuner"}
 
 
-def test_tune_imports_neither_synth_nor_qaformat(tmp_path):
+def test_tune_imports_neither_synth_nor_qaformat():
     _, imported = _cli_imports("tune", *INPUTS, "--grid", "0.5:0.7:0.1")
     assert "proctrack.tuner" in imported
     assert not imported & {"proctrack.synth", "proctrack.qaformat"}
+    # numpy 2.4's 1-D `unique` imports numpy.ma, which tune has no use for.
+    assert not {name for name in imported if name.split(".")[:2] == ["numpy", "ma"]}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_help_exits_zero_importing_no_command_module(command):
     out, imported = _cli_imports(command, "--help")
-    assert imported == LOADERS                  # `-m` runs cli.py as __main__
+    # `-m` runs cli.py as __main__
+    assert {name for name in imported if name.split(".")[0] == "proctrack"} == LOADERS
     if command == "tune":
         assert f"at most {GRID_MAX_VALUES} values" in " ".join(out.split())
