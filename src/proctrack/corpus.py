@@ -572,7 +572,8 @@ def load_predictions(path, procedures: list[Procedure], vocabulary: StateVocabul
             raise ValidationError(f"unknown procedure id {proc_id!r}")
         if proc_id in grids:
             raise ValidationError(f"duplicate procedure id {proc_id!r}")
-        grid = _parse_grid(record.get("gold") or {}, procedure, vocabulary, "prediction")
+        gold = record.get("gold")               # missing or null: no predicted tracks
+        grid = _parse_grid({} if gold is None else gold, procedure, vocabulary, "prediction")
         violations.extend((proc_id, v) for v in grid_violations(grid, vocabulary))
         grids[proc_id] = grid
 

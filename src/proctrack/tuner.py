@@ -9,10 +9,13 @@ Work is done once per distinct result, not once per cell. An entity's
 weighted emissions depend only on the taus its mention flags use, so its
 decodes span a 2-D grid when it has both mentioned and unmentioned steps,
 else a 1-D one. Each distinct path is resolved once, and each procedure is
-scored once per distinct combination of its entities' paths. Every document
-tuple starts with its procedure id, so the per-procedure counts sum to the
-counts of the whole split, and the macro F1 built from them is
-bit-identical to scoring the split in one call.
+scored once per distinct combination of its entities' paths. A combination
+is one int64 code per cell, folded in an entity at a time as code * n_paths
++ path and renumbered 0, 1, ... by `np.unique`: codes stay below the cell
+count, folded ones below cells² (10^12 at most). Every document tuple starts
+with its procedure id, so the per-procedure counts sum to the counts of the
+whole split, and the macro F1 built from them is bit-identical to scoring
+the split in one call.
 
 An entity is not decoded at every cell of its grid. A path's exact score
 is affine in (tau_exp, tau_imp), c + tau_exp*E + tau_imp*I, so the cells
@@ -144,8 +147,8 @@ def _hull(mask, x, y):
 
 
 def _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax):
-    """Resolved tracks of one entity: (distinct tracks, index into them per
-    cell of the grid over the sorted `values`)."""
+    """Resolved tracks of one entity: (distinct tracks, an int array of the
+    index into them per cell of the grid over the sorted `values`)."""
     flags = detect_mentions(procedure, procedure.entity(entity_id))
     mentioned = np.asarray(flags, dtype=bool)
     # This entity's grid has cells (i, j) at taus (values[i], values[j]); an
@@ -206,7 +209,7 @@ def _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
                 raise type(exc)(f"grid cell ({values[i]}, {values[j]}): procedure "
                                 f"{procedure.id!r}, entity {entity_id!r}: {exc}") from exc
         raise
-    return resolved, np.broadcast_to(at, (len(values),) * 2).ravel().tolist()
+    return resolved, np.broadcast_to(at, (len(values),) * 2).ravel()
 
 
 def tune(procedures, gold_grids, emissions, model: TransitionModel,
@@ -219,7 +222,6 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
         values = []
     if not values:
         raise ValidationError(f"tuning grid must be a non-empty collection of taus, got {grid!r}")
-    cells = [(tau_exp, tau_imp) for tau_exp in values for tau_imp in values]
 
     # Per cell, (n_pred, n_gold, n_correct) for each question, summed over
     # procedures. Gold procedures without any emissions score the same in
@@ -228,30 +230,27 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
     with_tracks = {procedure.id for procedure, tracks in joined if tracks}
     fixed = eval_document_level(
         {pid: gold for pid, gold in gold_grids.items() if pid not in with_tracks}, {}).counts()
-    totals = np.array([fixed] * len(cells))
+    totals = np.array([fixed] * len(values) ** 2)
     for procedure, tracks in joined:
         if not tracks:
             continue
         pid = procedure.id
-        entity_ids = [entity_id for entity_id, _ in tracks]
-        paths, columns = zip(*(
-            _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
-            for entity_id, track in tracks))
-        scored, counts, index = {}, [], []  # index: per cell, into the distinct counts
-        for combination in zip(*columns):
-            if combination not in scored:
-                scored[combination] = len(counts)
-                entries = {entity_id: tracks_of[i] for entity_id, tracks_of, i
-                           in zip(entity_ids, paths, combination)}
-                counts.append(eval_document_level(
-                    {pid: gold_grids[pid]}, {pid: AnnotationGrid(pid, entries)}).counts())
-            index.append(scored[combination])
-        totals += np.array(counts)[index]
+        found = {entity_id: _entity_paths(procedure, entity_id, track, values, model, vocabulary,
+                                          relax) for entity_id, track in tracks}
+        combination = np.zeros(len(totals), dtype=np.int64)
+        for paths, column in found.values():
+            _, first, combination = np.unique(combination * len(paths) + column,
+                                              return_index=True, return_inverse=True)
+        counts = []
+        for cell in first.tolist():                 # one cell of each combination
+            grid_of = AnnotationGrid(pid, {entity_id: paths[column[cell]]
+                                           for entity_id, (paths, column) in found.items()})
+            counts.append(eval_document_level({pid: gold_grids[pid]}, {pid: grid_of}).counts())
+        totals += np.array(counts)[combination]
 
     # Cells often share one count row; score each distinct row once.
     distinct, row_of = np.unique(totals, axis=0, return_inverse=True)
     f1s = [document_report(counts).macro_f1 for counts in distinct.tolist()]
-    rows = [(tau_exp, tau_imp, f1s[k])
-            for (tau_exp, tau_imp), k in zip(cells, row_of.ravel().tolist())]
-    best = max(rows, key=lambda row: row[2])       # the first of equal maxima
-    return TuneResult(*best, table=tuple(rows))
+    rows = [(*cell, f1s[k]) for cell, k in zip(itertools.product(values, repeat=2),
+                                               row_of.ravel().tolist())]
+    return TuneResult(*max(rows, key=lambda row: row[2]), table=tuple(rows))  # first of ties

@@ -3,7 +3,9 @@ a file or a flag can hold returns or raises a ToolkitError, never another
 Python error or a warning."""
 
 import dataclasses
+import json
 import os
+import re
 import warnings
 from decimal import Decimal
 
@@ -15,7 +17,7 @@ import numpy as np
 from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, MODEL_PROPARA, reference_detect_mentions
 from proctrack.consistency import resolve
 from proctrack.corpus import (PROPARA, AnnotationGrid, Entity, LocationValue, Procedure, Track,
-                              load_corpus, write_json)
+                              load_corpus, load_predictions, write_json)
 from proctrack.decoder import (DecodeConfig, EmissionSet, EmissionTrack, decode_entity,
                                detect_mentions, load_emissions, rounding_bound, save_emissions,
                                weight_emissions)
@@ -75,6 +77,7 @@ def _written_or_rejected(call, write):
 
 FIXTURES = load_corpus(CORPUS_PROPARA, PROPARA)
 FIXTURES += (load_emissions(EMISSIONS_PROPARA, FIXTURES[0], PROPARA), load_model(MODEL_PROPARA))
+FIRST_RECORD = json.loads(CORPUS_PROPARA.read_text().splitlines()[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -83,6 +86,24 @@ FIXTURES += (load_emissions(EMISSIONS_PROPARA, FIXTURES[0], PROPARA), load_model
 def test_tune_takes_a_grid_of_any_values_or_raises_validation_error(grid):
     _written_or_rejected(lambda: tune(*FIXTURES, PROPARA, grid=grid),
                          lambda result: write_json(None, dataclasses.asdict(result)))
+
+
+# A record's "gold" may be missing or null in a prediction file, where it
+# means no predicted tracks; any other value that is not an object is an
+# error in either file, named by path and line.
+@settings(max_examples=100, deadline=None)
+@given(gold=JSON_VALUES.filter(lambda value: value is not None and not isinstance(value, dict)))
+@example(gold=[])
+@example(gold=0)
+@example(gold="")
+@example(gold=False)
+def test_gold_that_is_not_an_object_is_rejected_by_both_loaders(tmp_path_factory, gold):
+    path = tmp_path_factory.mktemp("gold") / "records.jsonl"
+    path.write_text(json.dumps({**FIRST_RECORD, "gold": gold}) + "\n")
+    for load in (lambda: load_corpus(path, PROPARA),
+                 lambda: load_predictions(path, FIXTURES[0], PROPARA)):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}:1: "):
+            load()
 
 
 # A gold track of the fixtures' vocabulary, and a draw that replaces its

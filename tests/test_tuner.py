@@ -233,7 +233,8 @@ def test_entity_paths_equal_a_decode_of_every_cell(flags, values, divisor, relax
         with pytest.raises(NoValidPathError):
             decode(grid[0], grid[0])
         return
-    assert len(column) == len(grid) ** 2
+    assert isinstance(column, np.ndarray) and column.dtype.kind == "i"
+    assert column.shape == (len(grid) ** 2,)
     for (tau_exp, tau_imp), c in zip(itertools.product(grid, repeat=2), column):
         assert resolved[c].states == decode(tau_exp, tau_imp)
 
@@ -305,7 +306,7 @@ def test_entity_with_one_path_is_decoded_at_its_corners_only(monkeypatch, size, 
     resolved, column = _entity_paths(procedure, "e", track, [k / 10 for k in range(1, size + 1)],
                                      model, PROPARA, False)
     assert len(calls) == corners
-    assert len(resolved) == 1 and column == [0] * size ** 2
+    assert len(resolved) == 1 and column.tolist() == [0] * size ** 2
 
 
 def _all_tie_case():
@@ -373,6 +374,24 @@ def test_each_distinct_count_row_is_scored_once(monkeypatch):
     emissions = load_emissions(EMISSIONS_PROPARA, procedures, PROPARA)
     result = tune(procedures, grids, emissions, load_model(MODEL_PROPARA), PROPARA)
     assert len(rows) == len(set(rows)) < len(result.table)
+
+
+def test_a_procedure_with_many_entities_tunes_like_the_reference():
+    """65 entities with two paths each: e0 along tau_exp, the other 64 along
+    tau_imp. A code that folded all 65 without renumbering would need 2**65
+    values, so it would wrap int64 and merge cells that e0 tells apart."""
+    ids = [f"e{k}" for k in range(65)]
+    procedure = Procedure("p", ("stir the flour", "bake the flour"),
+                          tuple(Entity.from_raw(entity_id, "flour" if entity_id == "e0" else
+                                                f"spice{entity_id}") for entity_id in ids))
+    model = TransitionModel(vocabulary=RECIPES, start_scores=np.zeros(2),
+                            trans_scores=np.array([[0.0, -1.0], [0.0, 0.0]]))
+    tracks = {entity_id: EmissionTrack(np.array([[1.0, 0.0], [0.0, 1.0]]), ("?",) * 3)
+              for entity_id in ids}
+    gold = {"p": AnnotationGrid("p", {
+        entity_id: resolve(["exist", "absence"], ["?"] * 3, RECIPES).track() for entity_id in ids})}
+    inputs = ([procedure], gold, {"p": EmissionSet("p", tracks)}, model, RECIPES)
+    assert tune(*inputs, grid=[0.5, 2.0]) == reference_tune(*inputs, grid=[0.5, 2.0])
 
 
 @pytest.mark.parametrize("kind", [float, Decimal, Fraction, np.float32])
