@@ -11,11 +11,13 @@ decodes span a 2-D grid when it has both mentioned and unmentioned steps,
 else a 1-D one. Each distinct path is resolved once, and each procedure is
 scored once per distinct combination of its entities' paths. A combination
 is one int64 code per cell, folded in an entity at a time as code * n_paths
-+ path and renumbered 0, 1, ... by `np.unique`: codes stay below the cell
-count, folded ones below cells² (10^12 at most). Every document tuple starts
-with its procedure id, so the per-procedure counts sum to the counts of the
-whole split, and the macro F1 built from them is bit-identical to scoring
-the split in one call.
++ path and renumbered 0, 1, ... by `np.unique`; the procedures fold into one
+split code per cell the same way, renumbered after each, with one count row
+per code. Codes stay below the cell count, folded ones below cells² (10^12
+at most). A procedure without emissions has one combination, its empty
+grid. Every document tuple starts with its procedure id, so the
+per-procedure counts sum to the counts of the whole split, and the macro F1
+built from them is bit-identical to scoring the split in one call.
 
 An entity is not decoded at every cell of its grid. A path's exact score
 is affine in (tau_exp, tau_imp), c + tau_exp*E + tau_imp*I, so the cells
@@ -223,21 +225,16 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
     if not values:
         raise ValidationError(f"tuning grid must be a non-empty collection of taus, got {grid!r}")
 
-    # Per cell, (n_pred, n_gold, n_correct) for each question, summed over
-    # procedures. Gold procedures without any emissions score the same in
-    # every cell.
-    joined, _ = join(procedures, gold_grids, emissions)
-    with_tracks = {procedure.id for procedure, tracks in joined if tracks}
-    fixed = eval_document_level(
-        {pid: gold for pid, gold in gold_grids.items() if pid not in with_tracks}, {}).counts()
-    totals = np.array([fixed] * len(values) ** 2)
-    for procedure, tracks in joined:
-        if not tracks:
-            continue
-        pid = procedure.id
+    # Per split code, (n_pred, n_gold, n_correct) for each question. A gold
+    # procedure without tracks, or not in the corpus, has no paths.
+    joined = {procedure.id: (procedure, tracks)
+              for procedure, tracks in join(procedures, gold_grids, emissions)[0]}
+    code, table = np.zeros(len(values) ** 2, dtype=np.int64), np.zeros((1, 4, 3), dtype=np.int64)
+    for pid, gold in gold_grids.items():
+        procedure, tracks = joined.get(pid, (None, ()))
         found = {entity_id: _entity_paths(procedure, entity_id, track, values, model, vocabulary,
                                           relax) for entity_id, track in tracks}
-        combination = np.zeros(len(totals), dtype=np.int64)
+        combination, first = np.zeros(len(code), dtype=np.int64), np.zeros(1, dtype=np.int64)
         for paths, column in found.values():
             _, first, combination = np.unique(combination * len(paths) + column,
                                               return_index=True, return_inverse=True)
@@ -245,12 +242,14 @@ def tune(procedures, gold_grids, emissions, model: TransitionModel,
         for cell in first.tolist():                 # one cell of each combination
             grid_of = AnnotationGrid(pid, {entity_id: paths[column[cell]]
                                            for entity_id, (paths, column) in found.items()})
-            counts.append(eval_document_level({pid: gold_grids[pid]}, {pid: grid_of}).counts())
-        totals += np.array(counts)[combination]
+            counts.append(eval_document_level({pid: gold}, {pid: grid_of}).counts())
+        _, first, joint = np.unique(code * len(counts) + combination,
+                                    return_index=True, return_inverse=True)
+        table, code = table[code[first]] + np.array(counts)[combination[first]], joint
 
-    # Cells often share one count row; score each distinct row once.
-    distinct, row_of = np.unique(totals, axis=0, return_inverse=True)
+    # Codes often share one count row; score each distinct row once.
+    distinct, row_of = np.unique(table, axis=0, return_inverse=True)
     f1s = [document_report(counts).macro_f1 for counts in distinct.tolist()]
     rows = [(*cell, f1s[k]) for cell, k in zip(itertools.product(values, repeat=2),
-                                               row_of.ravel().tolist())]
+                                               row_of.ravel()[code].tolist())]
     return TuneResult(*max(rows, key=lambda row: row[2]), table=tuple(rows))  # first of ties

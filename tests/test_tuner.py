@@ -394,6 +394,51 @@ def test_a_procedure_with_many_entities_tunes_like_the_reference():
     assert tune(*inputs, grid=[0.5, 2.0]) == reference_tune(*inputs, grid=[0.5, 2.0])
 
 
+def test_many_procedures_tune_like_the_reference():
+    """65 two-step procedures of one entity with two paths each: the entity
+    of half of them is mentioned in both steps, the rest in neither. The
+    split's code must keep every earlier procedure's counts, and one folded
+    without renumbering would need 2**65 values."""
+    mentioned = ("stir the flour", "bake the flour")
+    procedures = [Procedure(f"p{k}", mentioned if k % 2 else ("stir it", "bake it"),
+                            (Entity.from_raw("e", "flour"),)) for k in range(65)]
+    model = TransitionModel(vocabulary=RECIPES, start_scores=np.zeros(2),
+                            trans_scores=np.array([[0.0, -1.0], [0.0, 0.0]]))
+    track = EmissionTrack(np.array([[1.0, 0.0], [0.0, 1.0]]), ("?",) * 3)
+    gold = {p.id: AnnotationGrid(p.id, {"e": resolve(["exist", "absence"], ["?"] * 3,
+                                                     RECIPES).track()}) for p in procedures}
+    emissions = {p.id: EmissionSet(p.id, {"e": track}) for p in procedures}
+    inputs = (procedures, gold, emissions, model, RECIPES)
+    assert tune(*inputs, grid=[0.5, 2.0]) == reference_tune(*inputs, grid=[0.5, 2.0])
+
+
+def test_tune_scores_one_procedure_per_call(monkeypatch, tmp_path):
+    """Every gold procedure is scored in calls of its own, also one without
+    emissions or without a procedure in the corpus (an empty prediction),
+    and the split's result is still that of the reference."""
+    golds = []
+
+    def recorded(gold, pred):
+        golds.append(sorted(gold))
+        return eval_document_level(gold, pred)
+
+    monkeypatch.setattr(tuner, "eval_document_level", recorded)
+    procedures, grids = load_corpus(CORPUS_PROPARA, PROPARA)
+    model = load_model(MODEL_PROPARA)
+    lines = EMISSIONS_PROPARA.read_text().splitlines()
+    without = tmp_path / "emissions.jsonl"
+    without.write_text("".join(line + "\n" for line in lines
+                               if json.loads(line)["procedure_id"] != "propara-0004"))
+    emissions = load_emissions(EMISSIONS_PROPARA, procedures, PROPARA)
+    for corpus, emitted in ((procedures, emissions), (procedures[1:], emissions),
+                            (procedures, load_emissions(without, procedures, PROPARA))):
+        golds.clear()
+        result = tune(corpus, grids, emitted, model, PROPARA, grid=[0.5, 1.0])
+        assert all(len(gold) == 1 for gold in golds), golds
+        assert {pid for [pid] in golds} == set(grids)
+        assert result == reference_tune(corpus, grids, emitted, model, PROPARA, grid=[0.5, 1.0])
+
+
 @pytest.mark.parametrize("kind", [float, Decimal, Fraction, np.float32])
 def test_a_grid_of_any_real_type_tunes_as_floats(kind):
     # Every value is a float exactly, so each type names the same cells, and
