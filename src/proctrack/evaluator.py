@@ -124,8 +124,9 @@ _NO_EVENTS = {event: {} for event in EVENTS}
 
 
 def _events(track: Track | None) -> dict[str, dict[int, object]]:
-    """{event: {step: slots}} from one walk of a track. A missing track, or one
-    with no event state, gets the shared `_NO_EVENTS`, which is never written."""
+    """{event: {step: slots}} from one walk of a track, the one reader of a
+    track's events for both protocols. A missing track, or one with no event
+    state, gets the shared `_NO_EVENTS`, which is never written."""
     if track is None or _NO_EVENTS.keys().isdisjoint(track.states):
         return _NO_EVENTS
     table = {event: {} for event in EVENTS}
@@ -136,29 +137,27 @@ def _events(track: Track | None) -> dict[str, dict[int, object]]:
 
 
 def _document_tuples(grids: dict[str, AnnotationGrid]):
+    """The four questions' tuple sets. A conversion joins a destruction and a
+    creation in one procedure on (step, place), where the place is never "-"."""
     inputs, outputs, conversions, moves = set(), set(), set(), set()
     for proc_id, grid in grids.items():
-        destroyed: dict[int, list] = {}
-        created: dict[int, list] = {}
+        destroyed, created = [], {}         # created: {(step, place): [entity]}
         for entity_id, track in grid.entries.items():
-            T = track.num_steps
-            first, last = track.locations[0], track.locations[T]
-            if first.kind != NONEXISTENT and last.kind == NONEXISTENT:
+            first, last = track.locations[0].kind, track.locations[-1].kind
+            if first != NONEXISTENT and last == NONEXISTENT:
                 inputs.add((proc_id, entity_id))
-            if first.kind == NONEXISTENT and last.kind != NONEXISTENT:
+            if first == NONEXISTENT and last != NONEXISTENT:
                 outputs.add((proc_id, entity_id))
-            for t, state in enumerate(track.states, start=1):
-                if state == "move":
-                    moves.add((proc_id, entity_id, t, *_event_slots(track, state, t)))
-                elif state in ("create", "destroy"):
-                    events = created if state == "create" else destroyed
-                    events.setdefault(t, []).append(
-                        (entity_id, _event_slots(track, state, t)))
-        for t, gone in destroyed.items():
-            for died, died_at in gone:
-                for born, born_at in created.get(t, []):
-                    if died_at == born_at and died_at != (NONEXISTENT,):
-                        conversions.add((proc_id, t, died, born, died_at))
+            events = _events(track)
+            if events is _NO_EVENTS:
+                continue
+            for t, slots in events["move"].items():
+                moves.add((proc_id, entity_id, t, *slots))
+            destroyed += [(entity_id, at) for at in events["destroy"].items()]
+            for at in events["create"].items():
+                created.setdefault(at, []).append(entity_id)
+        conversions.update((proc_id, t, died, born, place) for died, (t, place) in destroyed
+                           if place != (NONEXISTENT,) for born in created.get((t, place), ()))
     return inputs, outputs, conversions, moves
 
 

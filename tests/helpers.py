@@ -1,6 +1,6 @@
 """Shared test utilities: brute-force decoding oracle, reference
 implementations of mention detection, the decoder kernel, the tuner and the
-lifecycle samplers, and random model builders."""
+lifecycle samplers, the tune certificate audit, and random model builders."""
 
 from __future__ import annotations
 
@@ -13,13 +13,13 @@ import numpy as np
 from proctrack.consistency import resolve
 from proctrack.corpus import (NO_LOCATION, NONEXISTENT, PROPARA, SPAN, UNKNOWN_LOCATION,
                               AnnotationGrid, LocationValue, StateVocabulary)
-from proctrack.decoder import DecodeConfig, detect_mentions, weight_emissions
+from proctrack.decoder import DecodeConfig, detect_mentions, viterbi, weight_emissions
 from proctrack.errors import NoValidPathError
 from proctrack.evaluator import eval_document_level
 from proctrack.pipeline import join
-from proctrack.synth import _pick, _sample_event_steps
-from proctrack.transitions import TransitionModel
-from proctrack.tuner import TuneResult, default_grid
+from proctrack.synth import OracleConfig, _pick, _sample_event_steps, make_corpus, synth_emissions
+from proctrack.transitions import TransitionModel, estimate
+from proctrack.tuner import TuneResult, _entity_paths, default_grid, parse_grid
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -291,6 +291,49 @@ def reference_scores(gold, pred, vocabulary: StateVocabulary) -> dict:
     return result
 
 
+def tune_certificate_mismatches(grid: str, relax: bool, procedures: int,
+                                cells: int = 200, seed: int = 7) -> list[tuple]:
+    """Audit `tuner._entity_paths` on the `grid` spec, where it fills most
+    cells without decoding them: for `cells` cells of each entity, drawn with
+    `seed`, its resolved track must equal resolving a direct `viterbi` of
+    that cell. Returns (procedure, entity, tau_exp, tau_imp) per mismatch.
+
+    The split is `procedures` generated ones with noisy emissions and a model
+    estimated on their own gold. With `relax`, the model vetoes every start,
+    so each decode is relaxed and ranks only paths with the fewest vetoes.
+    The oracle's logits tie across its wrong labels, and a vetoed start adds
+    0 to every path, so many relaxed paths tie exactly; a tie is never
+    filled, and every tied cell is decoded, which costs time and audits
+    nothing. So each logit gets a jitter of about 1e-6 first."""
+    generated, grids = make_corpus(procedures, PROPARA, seed=seed)
+    model = estimate(grids.values(), PROPARA)
+    if relax:
+        model = TransitionModel(vocabulary=PROPARA, start_scores=np.full(PROPARA.size, -np.inf),
+                                trans_scores=model.trans_scores)
+    emissions = synth_emissions(generated, grids, PROPARA,
+                                OracleConfig(state_noise=0.2, location_noise=0.2, seed=seed + 1))
+    values = parse_grid(grid)
+    rng = np.random.default_rng(seed)
+    mismatches = []
+    for procedure in generated:
+        for entity in procedure.entities:
+            track = emissions[procedure.id].tracks[entity.id]
+            track.state_logits = track.state_logits + rng.normal(
+                scale=1e-6, size=track.state_logits.shape)
+            resolved, column = _entity_paths(procedure, entity.id, track, values, model,
+                                             PROPARA, relax)
+            flags = detect_mentions(procedure, entity)
+            for cell in rng.choice(len(column), size=min(cells, len(column)), replace=False):
+                tau_exp, tau_imp = values[cell // len(values)], values[cell % len(values)]
+                weighted = weight_emissions(track.state_logits, flags,
+                                            DecodeConfig(tau_exp, tau_imp))
+                states, _ = viterbi(weighted, model, relax=relax)
+                if resolved[column[cell]] != resolve(states, track.location_preds,
+                                                     PROPARA).track():
+                    mismatches.append((procedure.id, entity.id, tau_exp, tau_imp))
+    return mismatches
+
+
 # The two lifecycle samplers as they were written before `synth` shared one
 # per-step loop between them; the sampler tests compare against these.
 
@@ -521,6 +564,7 @@ __all__ = [
     "strict_else_relaxed_reference",
     "reference_tune",
     "reference_scores",
+    "tune_certificate_mismatches",
     "reference_propara_track",
     "reference_recipes_track",
     "fuzz_vocabulary",

@@ -13,6 +13,7 @@ from proctrack.corpus import (
 )
 from proctrack.errors import ValidationError
 from proctrack.evaluator import (
+    _document_tuples,
     document_report,
     eval_document_level,
     eval_recipes_locations,
@@ -106,6 +107,26 @@ def test_document_conversion_requires_shared_location():
     report = eval_document_level(gold, pred)
     assert report.conversions.n_pred == 0
     assert report.conversions.recall == 0.0
+
+
+def test_document_conversions_join_every_destruction_and_creation_at_one_step_and_place():
+    """Two entities destroyed and two created in the kettle at step 2 give
+    four conversions. One created there at step 3 joins none, and neither
+    does a destruction meeting a creation at "-", which only a rule-breaking
+    prediction can hold."""
+    entries = {
+        "malt": _track(["exist", "destroy", "outside_after"], ["kettle", "kettle", "-", "-"]),
+        "hops": _track(["exist", "destroy", "outside_after"], ["kettle", "kettle", "-", "-"]),
+        "wort": _track(["outside_before", "create", "exist"], ["-", "-", "kettle", "kettle"]),
+        "steam": _track(["outside_before", "create", "exist"], ["-", "-", "kettle", "kettle"]),
+        "foam": _track(["outside_before", "outside_before", "create"], ["-", "-", "-", "kettle"]),
+        "ghost": _track(["outside_before", "destroy", "outside_after"], ["-"] * 4),
+        "spark": _track(["outside_before", "create", "exist"], ["-"] * 4),
+    }
+    kettle = LocationValue.from_token("kettle").key
+    _, _, conversions, _ = _document_tuples({"brew": AnnotationGrid("brew", entries)})
+    assert conversions == {("brew", 2, died, born, kettle)
+                           for died in ("malt", "hops") for born in ("wort", "steam")}
 
 
 def test_document_missing_entity_counts_as_empty_track():

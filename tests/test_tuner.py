@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import CORPUS_PROPARA, EMISSIONS_PROPARA, MODEL_PROPARA, reference_tune
+from helpers import (CORPUS_PROPARA, EMISSIONS_PROPARA, MODEL_PROPARA, reference_tune,
+                     tune_certificate_mismatches)
 
 from proctrack import tuner
 from proctrack.corpus import PROPARA, RECIPES
@@ -277,6 +278,15 @@ def test_entity_paths_equal_a_decode_on_uneven_grids(grid, start, trans, logits,
     resolved, column = _entity_paths(procedure, "e", track, grid, model, PROPARA, False)
     for cell, c in zip(itertools.product(grid, repeat=2), column):
         assert resolved[c].states == tuple(decode(*cell)[0])
+
+
+@pytest.mark.parametrize("relax, procedures", [(False, 10), (True, 3)])
+def test_entity_paths_equal_a_decode_at_sampled_cells_of_a_fine_grid(relax, procedures):
+    """At 90,000 cells the region search fills most cells without decoding
+    them. 200 cells per entity, drawn with a fixed seed, each get the track
+    that resolving a direct decode of the cell gives, strict and on a model
+    that vetoes every start. CI runs the same audit at 10^6 cells."""
+    assert tune_certificate_mismatches("0.005:1.5:0.005", relax, procedures) == []
 
 
 def _counting_decodes(monkeypatch):
