@@ -386,6 +386,8 @@ def check_str(value, what: str) -> str:
 def check_int(value, what: str, least: int) -> int:
     """`value` as an int, which must be at least `least`; `what` names it."""
     try:
+        if isinstance(value, bool):             # an int to Python, but never a count
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None

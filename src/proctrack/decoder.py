@@ -10,6 +10,7 @@ sequences via its -inf entries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 
@@ -96,12 +97,20 @@ def detect_mentions(procedure: Procedure, entity: Entity) -> tuple[bool, ...]:
 
 
 def _logit_matrix(logits, name: str = "state_logits") -> np.ndarray:
-    """The argument `name` as a float array, which must be a (T, L) matrix."""
+    """The argument `name` as a float array, which must be a (T, L) matrix of
+    real numbers that are not bools: an int or float ndarray, or rows of
+    numbers. The one check of a logit's type: numpy reads "0.5" and True as floats."""
     try:
-        matrix = np.asarray(logits, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged rows, non-numbers, huge ints
-        matrix = np.empty(0)
-    if matrix.ndim != 2:
+        if isinstance(logits, np.ndarray):
+            real = logits.dtype.kind in "iuf"
+        else:
+            kinds = set(map(type, chain.from_iterable(logits)))
+            real = kinds <= {int, float} or all(
+                issubclass(kind, numbers.Real) and kind is not bool for kind in kinds)
+        matrix = np.asarray(logits, dtype=float) if real else None
+    except (TypeError, ValueError, OverflowError):  # not rows, ragged rows, huge ints
+        matrix = None
+    if matrix is None or matrix.ndim != 2:
         raise ValidationError(f"{name} must be a (T, L) matrix")
     return matrix
 
@@ -253,7 +262,7 @@ def rounding_bound(state_logits, tau: float, model: TransitionModel) -> float:
     step for a product that underflows. Past 1e300 a partial sum could
     overflow, and B is infinite.
     """
-    row_max = np.abs(np.asarray(state_logits, dtype=float)).max(axis=1)
+    row_max = np.abs(_logit_matrix(state_logits)).max(axis=1, initial=0.0)
     # The largest |score| a decode may add at a start or a transition.
     start_max, trans_max = (float(np.abs(scores[np.isfinite(scores)]).max(initial=0.0))
                             for scores in (model.start_scores, model.trans_scores))
@@ -269,12 +278,12 @@ def rounding_bound(state_logits, tau: float, model: TransitionModel) -> float:
 def decode_entity(procedure: Procedure, entity: Entity, track: EmissionTrack,
                   model: TransitionModel, config: DecodeConfig) -> list[str]:
     """Mention-weighted decode for one entity; returns its state sequence."""
-    if track.num_steps != procedure.num_steps:
+    logits = _logit_matrix(track.state_logits)
+    if len(logits) != procedure.num_steps:
         raise ValidationError(
-            f"emissions cover {track.num_steps} steps but procedure "
+            f"emissions cover {len(logits)} steps but procedure "
             f"{procedure.id!r} has {procedure.num_steps}")
-    flags = detect_mentions(procedure, entity)
-    weighted = weight_emissions(track.state_logits, flags, config)
+    weighted = weight_emissions(logits, detect_mentions(procedure, entity), config)
     states, _ = viterbi(weighted, model)
     return states
 
@@ -294,18 +303,11 @@ def load_emissions(path, procedures, vocabulary: StateVocabulary):
     def parse(record):
         proc_id = check_str(record.get("procedure_id"), "'procedure_id'")
         entity_id = check_str(record.get("entity_id"), "'entity_id'")
-        # Type check before numpy, which would turn "0.5" and true into floats.
-        logits = record.get("state_logits")
-        if not (isinstance(logits, list) and set(map(type, logits)) <= {list}
-                and set(map(type, chain.from_iterable(logits))) <= {int, float}):
-            raise ValidationError("'state_logits' must be a list of rows of numbers")
         procedure = by_id.get(proc_id)
         if procedure is None:
             raise ValidationError(f"unknown procedure id {proc_id!r}")
-        known = [e.id for e in procedure.entities if e.id == entity_id]
-        if not known:
-            raise ValidationError(f"unknown entity {entity_id!r} in procedure {proc_id!r}")
-        track = EmissionTrack(logits, preds := record.get("location_preds"))
+        entity = procedure.entity(entity_id)
+        track = EmissionTrack(record.get("state_logits"), preds := record.get("location_preds"))
         track.location_preds = tuple(map(shared.setdefault, preds, preds))
         if track.num_steps != procedure.num_steps:
             raise ValidationError(
@@ -314,9 +316,9 @@ def load_emissions(path, procedures, vocabulary: StateVocabulary):
             raise ValidationError(
                 f"{track.state_logits.shape[1]} logit columns for {vocabulary.size} labels")
         bucket = sets.setdefault(procedure.id, EmissionSet(procedure.id, {}))
-        if entity_id in bucket.tracks:
+        if entity.id in bucket.tracks:
             raise ValidationError(f"duplicate emissions for ({proc_id!r}, {entity_id!r})")
-        bucket.tracks[known[0]] = track
+        bucket.tracks[entity.id] = track
 
     read_records(path, parse)
     return sets

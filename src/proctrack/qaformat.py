@@ -52,17 +52,11 @@ def indexed_steps(procedure: Procedure) -> str:
     return " ".join(f"step {k}: {text}" for k, text in enumerate(procedure.steps, start=1))
 
 
-def _check_entity(procedure: Procedure, entity: Entity) -> None:
-    if all(e.id != entity.id for e in procedure.entities):
-        raise ValidationError(
-            f"entity {entity.id!r} does not belong to procedure {procedure.id!r}")
-
-
 def format_state_instance(procedure: Procedure, entity: Entity, t: int,
                           vocabulary: StateVocabulary,
                           gold: AnnotationGrid | None = None) -> QAInstance:
     """Multiple-choice state question for step t (1-based)."""
-    _check_entity(procedure, entity)
+    procedure.entity(entity.id)                 # it must be one of the procedure's
     if not 1 <= t <= procedure.num_steps:
         raise ValidationError(
             f"state step {t} out of range 1..{procedure.num_steps} "
@@ -80,7 +74,7 @@ def format_state_instance(procedure: Procedure, entity: Entity, t: int,
 def format_location_instance(procedure: Procedure, entity: Entity, t: int,
                              gold: AnnotationGrid | None = None) -> QAInstance:
     """Extractive location question for slot t (0-based; slot 0 = before step 1)."""
-    _check_entity(procedure, entity)
+    procedure.entity(entity.id)                 # it must be one of the procedure's
     if not 0 <= t <= procedure.num_steps:
         raise ValidationError(
             f"location slot {t} out of range 0..{procedure.num_steps} "

@@ -1,6 +1,8 @@
 """Mention detection, emission weighting, and constrained decoding."""
 
+import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     CORPUS_PROPARA,
+    EMISSIONS_PROPARA,
     MODEL_PROPARA,
     brute_force_decode,
     fuzz_vocabulary,
@@ -620,27 +623,61 @@ def test_argmax_states_ties_take_lowest_label():
     assert argmax_states(logits, PROPARA) == ["create", "move"]
 
 
-@pytest.mark.parametrize("decode, name", [
+_ZERO_MODEL = TransitionModel(PROPARA, np.zeros(PROPARA.size), np.zeros((PROPARA.size,) * 2))
+
+
+def _decode_entity(logits):
+    """decode_entity on a two-step track whose logits were set after it was built."""
+    track = EmissionTrack(np.zeros((2, PROPARA.size)), ("?",) * 3)
+    track.state_logits = logits
+    procedure = _procedure(["water flows", "sand sits"])
+    return decode_entity(procedure, procedure.entities[0], track, _ZERO_MODEL, DecodeConfig())
+
+
+# Every entry point that takes logits, with the name its error gives them.
+LOGIT_CALLS = [
     pytest.param(lambda logits: argmax_states(logits, PROPARA), "state_logits",
                  id="argmax_states"),
     pytest.param(lambda logits: weight_emissions(logits, [True, False], DecodeConfig()),
                  "state_logits", id="weight_emissions"),
-    pytest.param(
-        lambda logits: viterbi(logits, TransitionModel(
-            PROPARA, np.zeros(PROPARA.size), np.zeros((PROPARA.size, PROPARA.size)))),
-        "emissions", id="viterbi"),
-    pytest.param(lambda logits: EmissionTrack(logits, ("?",) * 3), "state_logits",
+    pytest.param(lambda logits: viterbi(logits, _ZERO_MODEL), "emissions", id="viterbi"),
+    pytest.param(lambda logits: EmissionTrack(logits, ("?",) * 3).state_logits, "state_logits",
                  id="EmissionTrack"),
-])
+    pytest.param(lambda logits: rounding_bound(logits, 1.0, _ZERO_MODEL), "state_logits",
+                 id="rounding_bound"),
+    pytest.param(_decode_entity, "state_logits", id="decode_entity"),
+]
+
+
+@pytest.mark.parametrize("decode, name", LOGIT_CALLS)
 @pytest.mark.parametrize("logits", [
     pytest.param([0.0] * PROPARA.size, id="one-dimensional"),
     pytest.param([[0.0] * PROPARA.size, [0.0] * (PROPARA.size - 1)], id="ragged"),
     pytest.param([["a"] * PROPARA.size], id="strings"),
     pytest.param([[10 ** 400] + [0.0] * (PROPARA.size - 1)], id="too-large-int"),
+    # numpy alone reads each of these as floats.
+    pytest.param([[0.0] * PROPARA.size, ["0.5"] + [0.0] * (PROPARA.size - 1)],
+                 id="json-string-cell"),
+    pytest.param([[0.0] * PROPARA.size, [True] + [0.0] * (PROPARA.size - 1)], id="bool-cell"),
+    pytest.param(np.ones((2, PROPARA.size), dtype=bool), id="bool-array"),
+    pytest.param(np.full((2, PROPARA.size), "0.5"), id="string-array"),
+    pytest.param([[Decimal("0.5")] * PROPARA.size] * 2, id="decimal-cells"),
 ])
 def test_logits_that_are_not_a_matrix_are_rejected(decode, name, logits):
     with pytest.raises(ValidationError, match=rf"^{name} must be a \(T, L\) matrix$"):
         decode(logits)
+
+
+@pytest.mark.parametrize("decode, name", LOGIT_CALLS)
+def test_an_int_array_and_rows_of_numpy_floats_are_logits(decode, name):
+    """Each gives the result of the float matrix with the same values."""
+    ints = [[1, -1, 2, 0, -3, 1], [0, 2, -2, 1, 3, -1]]
+    halves = [[0.5, -1.0, 2.5, 0.25, -0.5, 1.0], [1.5, 0.0, -2.0, 0.75, 2.5, -1.5]]
+    for logits, floats in ((np.array(ints), np.array(ints, dtype=float)),
+                           ([list(map(np.float32, row)) for row in halves], np.array(halves)),
+                           ([list(map(np.float64, row)) for row in halves], np.array(halves)),
+                           (list(np.array(halves)), np.array(halves))):
+        assert repr(decode(logits)) == repr(decode(floats))
 
 
 def test_decode_entity_weights_by_mention():
@@ -725,3 +762,26 @@ def test_emissions_load_rejects_duplicates(tmp_path):
     path.write_text(json.dumps(line) + "\n" + json.dumps(line) + "\n")
     with pytest.raises(ValidationError):
         load_emissions(path, [procedure], PROPARA)
+
+
+def _set_cell(record, value):
+    record["state_logits"][0][0] = value
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda record: _set_cell(record, "0.5"), "state_logits must be a (T, L) matrix",
+                 id="string-logit"),
+    pytest.param(lambda record: _set_cell(record, True), "state_logits must be a (T, L) matrix",
+                 id="bool-logit"),
+    pytest.param(lambda record: record.update(entity_id="ghost"),
+                 "procedure 'hydropower' has no entity 'ghost'", id="unknown-entity"),
+])
+def test_emissions_load_names_the_line_of_a_bad_logit_or_entity(tmp_path, edit, message):
+    procedures, _ = load_corpus(CORPUS_PROPARA, PROPARA)
+    lines = EMISSIONS_PROPARA.read_text().splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    path = tmp_path / "emissions.jsonl"
+    path.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+        load_emissions(path, procedures, PROPARA)

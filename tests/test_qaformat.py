@@ -63,6 +63,16 @@ def test_location_instance_covers_slot_zero_and_t():
         format_location_instance(procedure, entity, procedure.num_steps + 1, grid)
 
 
+def test_an_entity_of_another_procedure_is_rejected_by_both_formats():
+    procedure, grid = _hydropower()
+    other = make_corpus(1, PROPARA, seed=1)[0][0].entities[0]
+    message = f"^procedure 'hydropower' has no entity {other.id!r}$"
+    with pytest.raises(ValidationError, match=message):
+        format_state_instance(procedure, other, 1, PROPARA, grid)
+    with pytest.raises(ValidationError, match=message):
+        format_location_instance(procedure, other, 0, grid)
+
+
 def test_state_instance_matches_frozen_bytes():
     procedure, grid = _hydropower()
     entity = procedure.entity("water")

@@ -40,6 +40,8 @@ def test_make_corpus_rejects_a_negative_seed():
     (0, 1, "n_procedures must be >= 1, got 0"),
     (3, 1.5, "seed must be an integer, got 1.5"),
     (3, "a", "seed must be an integer, got 'a'"),
+    (True, 1, "n_procedures must be an integer, got True"),
+    (3, False, "seed must be an integer, got False"),
 ])
 def test_make_corpus_rejects_a_non_integer_count_or_seed(n_procedures, seed, message):
     with pytest.raises(ValidationError, match=re.escape(message)):

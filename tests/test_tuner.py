@@ -201,7 +201,7 @@ def _procedure_mentioning(flags):
 @given(
     flags=st.lists(st.booleans(), min_size=1, max_size=6),
     values=st.lists(st.integers(1, 300), min_size=1, max_size=20, unique=True),
-    divisor=st.sampled_from([1.0, 3.0, 7.0]),
+    divisor=st.sampled_from([1.0, 3.0, 7.0, 11.0]),
     relax=st.booleans(),
     data=st.data(),
 )
@@ -209,7 +209,7 @@ def test_entity_paths_equal_a_decode_of_every_cell(flags, values, divisor, relax
     """Each cell gets the path a decode of that cell returns, also where the
     region search fills instead of decoding; the tune table alone cannot
     show a wrong path that scores the same F1. Small integer scores, divided
-    by 3 or 7 so that sums round, make many paths tie or nearly tie, and
+    by 3, 7 or 11 so that sums round, make many paths tie or nearly tie, and
     rounding picks their winner cell by cell."""
     size = PROPARA.size
     scores = st.sampled_from([-np.inf]) | st.integers(-2, 2).map(float)
@@ -280,6 +280,28 @@ def test_entity_paths_equal_a_decode_on_uneven_grids(grid, start, trans, logits,
         assert resolved[c].states == tuple(decode(*cell)[0])
 
 
+def test_a_relaxed_group_is_not_filled_without_a_margin_at_each_vertex():
+    """Every hull vertex of a group can return its path while the group
+    still holds a cell where another path wins: here (0.75, 0.75), where
+    the decode returns exist, exist, move, exist. A vertex that returns the
+    path by less than 4*B does not let the group be filled."""
+    flags = (True, True, False, False)
+    start = [_VETO, 2, -2, _VETO, _VETO, -2]
+    trans = np.array([[-1, 1, 2, 0, _VETO, 1], [-1, 2, 2, 0, _VETO, -1],
+                      [-2, 2, _VETO, 2, _VETO, 0], [_VETO, -1, 2, -1, 2, -1],
+                      [_VETO, 0, _VETO, 2, _VETO, _VETO], [_VETO, -1, -1, -2, _VETO, 0]]) / 11
+    logits = np.array([[1, 1, 3, 3, 2, -2], [1, -2, -1, 0, -3, -2], [-1, 2, 3, 2, 3, 3],
+                       [2, 1, -3, 0, -1, -2]]) / 11
+    model = TransitionModel(vocabulary=PROPARA, start_scores=start, trans_scores=trans)
+    track = EmissionTrack(logits, ("?",) * (len(flags) + 1))
+    grid = [0.29, 0.66, 0.75, 0.88, 2.19, 2.81]
+    resolved, column = _entity_paths(_procedure_mentioning(flags), "e", track, grid, model,
+                                     PROPARA, True)
+    for cell, c in zip(itertools.product(grid, repeat=2), column):
+        weighted = weight_emissions(logits, flags, DecodeConfig(*cell))
+        assert resolved[c].states == tuple(viterbi(weighted, model, relax=True)[0])
+
+
 @pytest.mark.parametrize("relax, procedures", [(False, 10), (True, 3)])
 def test_entity_paths_equal_a_decode_at_sampled_cells_of_a_fine_grid(relax, procedures):
     """At 90,000 cells the region search fills most cells without decoding
@@ -317,6 +339,25 @@ def test_entity_with_one_path_is_decoded_at_its_corners_only(monkeypatch, size, 
                                      model, PROPARA, False)
     assert len(calls) == corners
     assert len(resolved) == 1 and column.tolist() == [0] * size ** 2
+
+
+def test_logits_near_1e300_fill_no_cell(monkeypatch):
+    """Past 1e300 a partial sum could overflow, so `rounding_bound` is
+    infinite and no margin exceeds 4*B: every cell is decoded, and each gets
+    the path its decode returns."""
+    flags = (True, False, True)
+    logits = np.random.default_rng(3).integers(-3, 4, size=(len(flags), PROPARA.size)) * 3e299
+    model = load_model(MODEL_PROPARA)
+    grid = [k / 10 for k in range(1, 13)]
+    assert tuner.rounding_bound(logits, grid[-1], model) == np.inf
+    track = EmissionTrack(logits, ("?",) * (len(flags) + 1))
+    calls = _counting_decodes(monkeypatch)
+    resolved, column = _entity_paths(_procedure_mentioning(flags), "e", track, grid, model,
+                                     PROPARA, False)
+    assert len(calls) == len(grid) ** 2 and len(resolved) > 1
+    for cell, c in zip(itertools.product(grid, repeat=2), column):
+        weighted = weight_emissions(logits, flags, DecodeConfig(*cell))
+        assert resolved[c].states == tuple(viterbi(weighted, model)[0])
 
 
 def _all_tie_case():
