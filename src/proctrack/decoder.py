@@ -10,22 +10,20 @@ sequences via its -inf entries.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .corpus import (Entity, Procedure, StateVocabulary, check_str, check_str_list,
                      read_records, token_text, write_records)
 from .errors import NoValidPathError, ValidationError
-from .transitions import TransitionModel, veto_counts
+from .transitions import TransitionModel, real_array, veto_counts
 
 
 def as_float(value) -> float:
     """`value` as a float, or NaN (which fails every range check) if it is not a real number."""
-    if isinstance(value, (str, bytes, np.complexfloating)):     # float() parses or truncates
-        return math.nan
+    if isinstance(value, (str, bytes, bool, np.bool_, np.complexfloating)):
+        return math.nan             # float() would parse, truncate or count it
     try:    # float() takes any int, Decimal, Fraction or real numpy scalar
         return float(value)
     except (TypeError, ValueError, ArithmeticError):   # not a number, sNaN, beyond a float
@@ -98,19 +96,8 @@ def detect_mentions(procedure: Procedure, entity: Entity) -> tuple[bool, ...]:
 
 def _logit_matrix(logits, name: str = "state_logits") -> np.ndarray:
     """The argument `name` as a float array, which must be a (T, L) matrix of
-    real numbers that are not bools: an int or float ndarray, or rows of
-    numbers. The one check of a logit's type: numpy reads "0.5" and True as floats."""
-    try:
-        if isinstance(logits, np.ndarray):
-            real = logits.dtype.kind in "iuf"
-        else:
-            kinds = set(map(type, chain.from_iterable(logits)))
-            real = kinds <= {int, float} or all(
-                issubclass(kind, numbers.Real) and kind is not bool for kind in kinds)
-        matrix = np.asarray(logits, dtype=float) if real else None
-    except (TypeError, ValueError, OverflowError):  # not rows, ragged rows, huge ints
-        matrix = None
-    if matrix is None or matrix.ndim != 2:
+    real numbers that are not bools (`transitions.real_array`)."""
+    if (matrix := real_array(logits, 2)) is None or matrix.ndim != 2:
         raise ValidationError(f"{name} must be a (T, L) matrix")
     return matrix
 

@@ -30,11 +30,10 @@ class TransitionModel:
 
     def __post_init__(self):
         size = self.vocabulary.size
-        try:
-            self.start_scores = np.asarray(self.start_scores, dtype=float)
-            self.trans_scores = np.asarray(self.trans_scores, dtype=float)
-        except (TypeError, ValueError, OverflowError):  # ragged rows, non-numbers, huge ints
-            raise ValidationError("scores must be arrays of numbers") from None
+        scores = real_array(self.start_scores, 1), real_array(self.trans_scores, 2)
+        if any(array is None for array in scores):
+            raise ValidationError("scores must be arrays of numbers")
+        self.start_scores, self.trans_scores = scores
         if self.start_scores.shape != (size,):
             raise ValidationError(f"start_scores must have shape ({size},)")
         if self.trans_scores.shape != (size, size):
@@ -59,6 +58,22 @@ class TransitionModel:
         i = self.vocabulary.index(from_label)
         j = self.vocabulary.index(to_label)
         return float(self.trans_scores[i, j])
+
+
+def real_array(value, depth: int):
+    """`value` as a float array if it is an int or float ndarray, or a list
+    (depth 1) or rows (depth 2) of real numbers that are not bools; else None.
+    The one test of a score's or a logit's type: numpy reads "0.5" and True as floats."""
+    try:
+        if isinstance(value, np.ndarray):
+            real = value.dtype.kind in "iuf"
+        else:
+            kinds = set(map(type, chain.from_iterable(value) if depth == 2 else value))
+            real = kinds <= {int, float} or all(
+                issubclass(kind, numbers.Real) and kind is not bool for kind in kinds)
+        return np.asarray(value, dtype=float) if real else None
+    except (TypeError, ValueError, OverflowError):  # not lists, ragged rows, huge ints
+        return None
 
 
 def _is_count(value) -> bool:
@@ -135,14 +150,11 @@ def _encode_score(value: float):
 
 
 def _decode_score(value):
-    """A JSON score, or a list or list of lists of them, as floats."""
+    """A JSON score, or a list or list of lists of them, with "-inf" read as
+    -inf; `TransitionModel` checks the rest, such as a bool or a string."""
     if isinstance(value, list):
         return [_decode_score(x) for x in value]
-    if value == "-inf":
-        return -np.inf
-    if type(value) not in (int, float):         # a bool is not a score
-        raise ValidationError(f'a score must be a number or "-inf", got {value!r}')
-    return float(value)
+    return -np.inf if value == "-inf" else value
 
 
 def save_model(model: TransitionModel, path) -> None:

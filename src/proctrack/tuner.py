@@ -51,8 +51,11 @@ grid a cell inside the hull of indices can lie outside the hull of taus,
 where another path wins. A group that is not filled has a vertex that
 failed, and only a cell decoded in this round can fail, so every round
 settles at least one cell and the search ends.
-When a decode fails, the entity's cells are decoded in grid order instead,
-so the error names the first failing cell as a per-cell loop would.
+A failed decode names its cell: the first to fail in grid order. With a
+finite B the mass `rounding_bound` sums stays below 1e300, so no weighted
+logit, score or prediction overflows, and what can still fail (no legal
+path, a bad shape) fails at every cell or none, first at corner (0, 0), the
+grid's first cell. An infinite B fills no cell, so all are decoded in order.
 """
 
 from __future__ import annotations
@@ -166,15 +169,19 @@ def _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
     strong = np.zeros(shape, dtype=bool)    # decoded, with margin over 4*B
 
     def decode(i, j):
-        weighted = weight_emissions(logits, flags, DecodeConfig(values[i], values[j]))
-        states, score, runner_up = viterbi(weighted, model, relax=relax, runner_up=True)
+        try:
+            weighted = weight_emissions(logits, flags, DecodeConfig(values[i], values[j]))
+            states, score, runner_up = viterbi(weighted, model, relax=relax, runner_up=True)
+        except ToolkitError as exc:
+            raise type(exc)(f"grid cell ({values[i]}, {values[j]}): procedure "
+                            f"{procedure.id!r}, entity {entity_id!r}: {exc}") from exc
         states = tuple(states)
         if states not in path_index:
             path_index[states] = len(resolved)
             resolved.append(resolve(states, track.location_preds, vocabulary).track())
             labels = [model.vocabulary.index(state) for state in states]
             emitted = logits[np.arange(len(labels)), labels]
-            with np.errstate(over="ignore"):     # an infinite sum only sways predictions
+            with np.errstate(over="ignore"):     # only under an infinite B: no round runs
                 per_exp, per_imp = (float(emitted[m].sum()) for m in (mentioned, ~mentioned))
             terms.append((score - values[i] * per_exp - values[j] * per_imp, per_exp, per_imp))
         at[i, j] = path_index[states]
@@ -183,34 +190,25 @@ def _entity_paths(procedure, entity_id, track, values, model, vocabulary, relax)
     exact = _exact(values)
     x, y = exact[:shape[0]], exact[:shape[1]]
     taus_exp, taus_imp = np.array(values[:shape[0]])[:, None], np.array(values[:shape[1]])
-    try:
-        for i, j in sorted({(i, j) for i in (0, shape[0] - 1) for j in (0, shape[1] - 1)}):
-            decode(i, j)
-        while (unsettled := at < 0).any():
-            constant, per_exp, per_imp = np.array(terms).T[:, :, None, None]
-            with np.errstate(all="ignore"):
-                predicted = (constant + per_exp * taus_exp + per_imp * taus_imp).argmax(axis=0)
-            # Each predicted path once, in order; np.unique would import numpy.ma.
-            for path in np.flatnonzero(np.bincount(predicted[unsettled])).tolist():
-                group = unsettled & (predicted == path)
-                vertices = _hull(group | (strong & (at == path)), x, y)
-                for i, j in vertices:
-                    if at[i, j] < 0:
-                        decode(i, j)
-                if all(at[cell] == path and strong[cell] for cell in vertices):
-                    at[group] = path
-                elif all(at[cell] == path for cell in vertices):    # only a margin failed
-                    for i, j in np.argwhere(group & (at < 0)).tolist():
-                        decode(i, j)
-    except ToolkitError:
-        # Name the first failing cell in grid order, as a per-cell loop would.
-        for i, j in itertools.product(range(shape[0]), range(shape[1])):
-            try:
-                decode(i, j)
-            except ToolkitError as exc:
-                raise type(exc)(f"grid cell ({values[i]}, {values[j]}): procedure "
-                                f"{procedure.id!r}, entity {entity_id!r}: {exc}") from exc
-        raise
+    # The corners, or every cell in grid order where an infinite B fills none.
+    for i, j in (itertools.product(range(shape[0]), range(shape[1])) if threshold == math.inf
+                 else sorted({(i, j) for i in (0, shape[0] - 1) for j in (0, shape[1] - 1)})):
+        decode(i, j)
+    while (unsettled := at < 0).any():
+        constant, per_exp, per_imp = np.array(terms).T[:, :, None, None]
+        predicted = (constant + per_exp * taus_exp + per_imp * taus_imp).argmax(axis=0)
+        # Each predicted path once, in order; np.unique would import numpy.ma.
+        for path in np.flatnonzero(np.bincount(predicted[unsettled])).tolist():
+            group = unsettled & (predicted == path)
+            vertices = _hull(group | (strong & (at == path)), x, y)
+            for i, j in vertices:
+                if at[i, j] < 0:
+                    decode(i, j)
+            if all(at[cell] == path and strong[cell] for cell in vertices):
+                at[group] = path
+            elif all(at[cell] == path for cell in vertices):    # only a margin failed
+                for i, j in np.argwhere(group & (at < 0)).tolist():
+                    decode(i, j)
     return resolved, np.broadcast_to(at, (len(values),) * 2).ravel()
 
 

@@ -19,7 +19,7 @@ from proctrack.evaluator import eval_document_level
 from proctrack.pipeline import join
 from proctrack.synth import OracleConfig, _pick, _sample_event_steps, make_corpus, synth_emissions
 from proctrack.transitions import TransitionModel, estimate
-from proctrack.tuner import TuneResult, _entity_paths, default_grid, parse_grid
+from proctrack.tuner import TuneResult, _entity_paths, default_grid
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -291,12 +291,13 @@ def reference_scores(gold, pred, vocabulary: StateVocabulary) -> dict:
     return result
 
 
-def tune_certificate_mismatches(grid: str, relax: bool, procedures: int,
-                                cells: int = 200, seed: int = 7) -> list[tuple]:
-    """Audit `tuner._entity_paths` on the `grid` spec, where it fills most
-    cells without decoding them: for `cells` cells of each entity, drawn with
-    `seed`, its resolved track must equal resolving a direct `viterbi` of
-    that cell. Returns (procedure, entity, tau_exp, tau_imp) per mismatch.
+def tune_certificate_mismatches(values, relax: bool, procedures: int, cells: int = 200,
+                                seed: int = 7, jitter: bool = True) -> list[tuple]:
+    """Audit `tuner._entity_paths` on the grid over the sorted taus `values`,
+    where it fills most cells without decoding them: for `cells` cells of
+    each entity, drawn with `seed`, its resolved track must equal resolving
+    a direct `viterbi` of that cell. Returns (procedure, entity, tau_exp,
+    tau_imp) per mismatch.
 
     The split is `procedures` generated ones with noisy emissions and a model
     estimated on their own gold. With `relax`, the model vetoes every start,
@@ -304,7 +305,8 @@ def tune_certificate_mismatches(grid: str, relax: bool, procedures: int,
     The oracle's logits tie across its wrong labels, and a vetoed start adds
     0 to every path, so many relaxed paths tie exactly; a tie is never
     filled, and every tied cell is decoded, which costs time and audits
-    nothing. So each logit gets a jitter of about 1e-6 first."""
+    nothing. So each logit gets a jitter of about 1e-6 first, unless
+    `jitter` is false, which keeps the oracle's exact ties."""
     generated, grids = make_corpus(procedures, PROPARA, seed=seed)
     model = estimate(grids.values(), PROPARA)
     if relax:
@@ -312,14 +314,14 @@ def tune_certificate_mismatches(grid: str, relax: bool, procedures: int,
                                 trans_scores=model.trans_scores)
     emissions = synth_emissions(generated, grids, PROPARA,
                                 OracleConfig(state_noise=0.2, location_noise=0.2, seed=seed + 1))
-    values = parse_grid(grid)
     rng = np.random.default_rng(seed)
     mismatches = []
     for procedure in generated:
         for entity in procedure.entities:
             track = emissions[procedure.id].tracks[entity.id]
-            track.state_logits = track.state_logits + rng.normal(
-                scale=1e-6, size=track.state_logits.shape)
+            if jitter:
+                track.state_logits = track.state_logits + rng.normal(
+                    scale=1e-6, size=track.state_logits.shape)
             resolved, column = _entity_paths(procedure, entity.id, track, values, model,
                                              PROPARA, relax)
             flags = detect_mentions(procedure, entity)

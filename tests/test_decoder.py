@@ -170,10 +170,11 @@ def test_config_requires_positive_taus():
     with pytest.raises(ValidationError):
         DecodeConfig(tau_exp=0.6, tau_imp=-0.1)
     # A real number beyond a float, a Decimal NaN or one that converts to inf
-    # or 0 is no tau either.
+    # or 0 is no tau either, and nor is a bool, which float() reads as 1 or 0.
     for taus in ((math.inf, 0.7), (0.6, math.inf), (math.nan, 0.7), ("a", 0.7), ("0.5", 0.7),
                  (10 ** 400, 0.7), (Decimal("1e400"), 0.7), (0.6, Decimal("1e-400")),
-                 (Decimal("NaN"), 0.7), (0.6, Decimal("sNaN"))):
+                 (Decimal("NaN"), 0.7), (0.6, Decimal("sNaN")), (True, True), (0.6, True),
+                 (np.bool_(True), 0.7)):
         with pytest.raises(ValidationError, match="tau values must be finite and positive"):
             DecodeConfig(*taus)
 

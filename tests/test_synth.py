@@ -115,7 +115,8 @@ def test_oracle_config_validates_rates():
                 {"corruption_bias": {"implicit": "a"}}, {"corruption_bias": [1]},
                 {"corruption_bias": []}, {"corruption_bias": 0}, {"corruption_bias": ""},
                 {"seed": "a"}, {"seed": 1.5}, {"state_noise": Decimal("NaN")},
-                {"location_noise": Decimal("sNaN")}):
+                {"location_noise": Decimal("sNaN")}, {"state_noise": False},
+                {"location_noise": np.bool_(False)}, {"corruption_bias": {"implicit": False}}):
         with pytest.raises(ValidationError):
             OracleConfig(**bad)
 

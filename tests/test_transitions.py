@@ -195,11 +195,26 @@ def test_model_rejects_nan_and_pos_inf():
 
 
 def test_model_rejects_scores_that_are_not_numbers():
+    # Nor bools or numeric strings, which numpy alone reads as 1.0 and 0.5,
+    # and which `load_model` refuses.
     size = PROPARA.size
-    with pytest.raises(ValidationError, match="scores must be arrays of numbers"):
-        TransitionModel(PROPARA, ["a"] * size, np.zeros((size, size)))
-    with pytest.raises(ValidationError, match="scores must be arrays of numbers"):
-        TransitionModel(PROPARA, np.zeros(size), [[0.0] * size] * (size - 1) + [[0.0]])
+    start, trans = [0.0] * size, [[0.0] * size] * size
+    for bad_start, bad_trans in ((["a"] * size, np.zeros((size, size))),
+                                 (np.zeros(size), [[0.0] * size] * (size - 1) + [[0.0]]),
+                                 ([True] + start[1:], trans), (["0.5"] + start[1:], trans),
+                                 (start, [[np.bool_(False)] * size] + trans[1:]),
+                                 (start, [["-inf"] * size] * size),
+                                 (np.ones(size, dtype=bool), trans),
+                                 (start, np.zeros((size, size), dtype=object))):
+        with pytest.raises(ValidationError, match="scores must be arrays of numbers"):
+            TransitionModel(PROPARA, bad_start, bad_trans)
+    # Ints, floats, -inf and int or float arrays are scores.
+    int_trans = np.zeros((size, size), dtype=np.int32)
+    int_trans[0, 1] = -1
+    model = TransitionModel(PROPARA, [0, -np.inf, 0.5, 1, 2, 3], int_trans)
+    assert model.start_scores.dtype == model.trans_scores.dtype == float
+    assert model.start_scores.tolist() == [0.0, -np.inf, 0.5, 1.0, 2.0, 3.0]
+    assert model.trans_scores[0, 1] == -1.0
 
 
 def test_save_load_round_trip_is_exact(tmp_path):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import re
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from proctrack.consistency import resolve
 from proctrack.corpus import AnnotationGrid, Entity, Procedure, load_corpus, write_json
 from proctrack.decoder import (DecodeConfig, EmissionSet, EmissionTrack, decode_entity,
                                load_emissions, viterbi, weight_emissions)
-from proctrack.errors import NoValidPathError, ValidationError
+from proctrack.errors import NoValidPathError, ToolkitError, ValidationError
 from proctrack.evaluator import document_report, eval_document_level
 from proctrack.synth import OracleConfig, make_corpus, synth_emissions
 from proctrack.transitions import TransitionModel, estimate, load_model
@@ -302,13 +303,26 @@ def test_a_relaxed_group_is_not_filled_without_a_margin_at_each_vertex():
         assert resolved[c].states == tuple(viterbi(weighted, model, relax=True)[0])
 
 
-@pytest.mark.parametrize("relax, procedures", [(False, 10), (True, 3)])
-def test_entity_paths_equal_a_decode_at_sampled_cells_of_a_fine_grid(relax, procedures):
+# 300 taus from 0.01 to 1.46, each 1.68% above the last: no two steps alike.
+_GEOMETRIC = tuple(0.01 * 1.0168 ** k for k in range(300))
+
+
+@pytest.mark.parametrize("values, relax, procedures, jitter", [
+    (parse_grid("0.005:1.5:0.005"), False, 10, True),
+    (parse_grid("0.005:1.5:0.005"), True, 3, True),
+    (parse_grid("0.005:1.5:0.005"), False, 10, False),
+    (_GEOMETRIC, False, 10, True),
+    (_GEOMETRIC, True, 3, True),
+], ids=["False-10", "True-3", "exact-ties", "geometric", "geometric-relaxed"])
+def test_entity_paths_equal_a_decode_at_sampled_cells_of_a_fine_grid(values, relax, procedures,
+                                                                       jitter):
     """At 90,000 cells the region search fills most cells without decoding
     them. 200 cells per entity, drawn with a fixed seed, each get the track
     that resolving a direct decode of the cell gives, strict and on a model
-    that vetoes every start. CI runs the same audit at 10^6 cells."""
-    assert tune_certificate_mismatches("0.005:1.5:0.005", relax, procedures) == []
+    that vetoes every start. Unjittered logits keep their exact ties, and
+    on a geometric grid the hull of grid indices is not the hull of taus.
+    CI runs the same audit at 10^6 cells."""
+    assert tune_certificate_mismatches(values, relax, procedures, jitter=jitter) == []
 
 
 def _counting_decodes(monkeypatch):
@@ -358,6 +372,63 @@ def test_logits_near_1e300_fill_no_cell(monkeypatch):
     for cell, c in zip(itertools.product(grid, repeat=2), column):
         weighted = weight_emissions(logits, flags, DecodeConfig(*cell))
         assert resolved[c].states == tuple(viterbi(weighted, model)[0])
+
+
+def test_entity_paths_equal_a_per_cell_loop_or_raise_its_first_error():
+    """`_entity_paths` gives each cell the path a decode of it returns, or
+    raises the error that a loop over the cells in grid order raises first,
+    naming that cell, and lets no numpy warning escape. 400 small entities
+    on uneven grids, strict and relaxed: logits near 1e308 make
+    `rounding_bound` infinite and overflow at some taus but not at others,
+    and a model that vetoes every start fails every strict decode."""
+    rng = np.random.default_rng(11)
+    size = PROPARA.size
+
+    def scores(count):
+        drawn = rng.integers(-2, 3, count).astype(float)
+        drawn[rng.random(count) < 0.3] = -np.inf
+        return drawn
+
+    def per_cell(flags, grid, track, model, relax):
+        paths = []
+        for tau_exp, tau_imp in itertools.product(grid, repeat=2):
+            try:
+                weighted = weight_emissions(track.state_logits, flags,
+                                            DecodeConfig(tau_exp, tau_imp))
+                paths.append(tuple(viterbi(weighted, model, relax=relax)[0]))
+            except ToolkitError as exc:
+                raise type(exc)(f"grid cell ({tau_exp}, {tau_imp}): procedure 'p', "
+                                f"entity 'e': {exc}") from None
+        return paths
+
+    def tuned(flags, grid, track, model, relax):
+        resolved, column = _entity_paths(_procedure_mentioning(flags), "e", track, grid, model,
+                                         PROPARA, relax)
+        return [resolved[c].states for c in column.tolist()]
+
+    def outcome(run, *args):
+        """The path per cell that `run` returns, or its error's type and message."""
+        try:
+            return run(*args)
+        except ToolkitError as exc:
+            return type(exc), str(exc)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(400):
+            flags = rng.integers(0, 2, rng.integers(1, 5)).astype(bool).tolist()
+            # Taus up to 0.3 or up to 3, so that a path's logits can sum past
+            # a float where no weighted score does.
+            values = rng.choice(np.arange(1, rng.choice([31, 301])), rng.integers(1, 7),
+                                replace=False)
+            grid = sorted(int(k) / 100 for k in values)
+            start = np.full(size, -np.inf) if rng.random() < 0.5 else scores(size)
+            model = TransitionModel(PROPARA, start, scores(size * size).reshape(size, size))
+            scale = rng.choice([1.0, 3e299, 1e307, 5.6e307])
+            track = EmissionTrack(rng.integers(-3, 4, (len(flags), size)) * scale,
+                                  ("?",) * (len(flags) + 1))
+            args = flags, grid, track, model, bool(rng.integers(2))
+            assert outcome(tuned, *args) == outcome(per_cell, *args), args
 
 
 def _all_tie_case():
@@ -539,6 +610,6 @@ def test_grid_validation():
     with pytest.raises(ValidationError):
         tune(procedures, grids, emissions, model, PROPARA, grid=(0.0, 0.5))
     for grid in ([0.5, float("inf")], ["a"], [0.5, 10 ** 400], [Decimal("sNaN")],
-                 [Decimal("1e400")]):
+                 [Decimal("1e400")], [True], [0.5, np.bool_(True)]):
         with pytest.raises(ValidationError, match="must be finite and positive"):
             tune(procedures, grids, emissions, model, PROPARA, grid=grid)
