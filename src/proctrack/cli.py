@@ -24,12 +24,6 @@ EXIT_IO = 4
 log = logging.getLogger(__name__)
 
 
-def _add_corpus_args(sub):
-    sub.add_argument("--corpus", required=True, help="corpus file (JSON lines)")
-    sub.add_argument("--vocab", required=True, choices=sorted(corpus.VOCABULARIES),
-                     help="state vocabulary")
-
-
 def _add_decode_args(sub, taus=True):
     sub.add_argument("--emissions", required=True)
     sub.add_argument("--model", required=True)
@@ -41,13 +35,13 @@ def _add_decode_args(sub, taus=True):
                           "vetoed (-inf) starts and transitions")
 
 
-def _load(args):
+def _load(args, gold=False):
     """Every input the command takes: (vocabulary, procedures, gold grids,
-    model or None, emissions or None). A scoring command needs gold, and the
-    model must use the vocabulary --vocab names."""
+    model or None, emissions or None). With `gold`, the corpus must carry
+    gold grids; the model must use the vocabulary --vocab names."""
     vocabulary = corpus.get_vocabulary(args.vocab)
     procedures, grids = corpus.load_corpus(args.corpus, vocabulary)
-    if args.command in ("evaluate", "tune", "pipeline") and not grids:
+    if gold and not grids:
         raise ValidationError(f"{args.command} needs gold grids in the corpus file")
     model = emissions = None
     if "model" in args:
@@ -154,7 +148,7 @@ def cmd_resolve(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from . import pipeline
-    vocabulary, procedures, gold_grids, *_ = _load(args)
+    vocabulary, procedures, gold_grids, *_ = _load(args, gold=True)
     pred_grids, violations = corpus.load_predictions(
         args.predictions, procedures, vocabulary)
     by_rule: dict[str, list[str]] = {}
@@ -180,7 +174,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_tune(args) -> int:
     from . import tuner
-    vocabulary, procedures, gold_grids, model, emissions = _load(args)
+    vocabulary, procedures, gold_grids, model, emissions = _load(args, gold=True)
     grid = tuner.parse_grid(args.grid) if args.grid else None
     result = tuner.tune(procedures, gold_grids, emissions, model, vocabulary,
                         grid=grid, relax=args.relax)
@@ -198,7 +192,7 @@ def cmd_tune(args) -> int:
 
 def cmd_pipeline(args) -> int:
     from . import pipeline
-    vocabulary, procedures, gold_grids, model, emissions = _load(args)
+    vocabulary, procedures, gold_grids, model, emissions = _load(args, gold=True)
     config = decoder.DecodeConfig(tau_exp=args.tau_exp, tau_imp=args.tau_imp)
     result = pipeline.run_pipeline(
         procedures, gold_grids, emissions, model, vocabulary, config,
@@ -214,58 +208,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="entity state tracking: QA formatting, decoding, scoring")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("stats", help="corpus size and shape")
-    _add_corpus_args(sub)
-    sub.set_defaults(func=cmd_stats)
+    def command(name, func, help):
+        """A subparser for `name` that runs `func` on a corpus, for the
+        command's own arguments to follow --corpus and --vocab."""
+        sub = commands.add_parser(name, help=help)
+        sub.add_argument("--corpus", required=True, help="corpus file (JSON lines)")
+        sub.add_argument("--vocab", required=True, choices=sorted(corpus.VOCABULARIES),
+                         help="state vocabulary")
+        sub.set_defaults(func=func)
+        return sub
 
-    sub = commands.add_parser("format-qa", help="export QA instances")
-    _add_corpus_args(sub)
+    command("stats", cmd_stats, "corpus size and shape")
+
+    sub = command("format-qa", cmd_format_qa, "export QA instances")
     sub.add_argument("--kinds", default="state,location",
                      help="comma-separated subset of: state,location")
     sub.add_argument("--out", required=True)
-    sub.set_defaults(func=cmd_format_qa)
 
-    sub = commands.add_parser("estimate-transitions",
-                              help="count gold transitions into a model file")
-    _add_corpus_args(sub)
+    sub = command("estimate-transitions", cmd_estimate_transitions,
+                  "count gold transitions into a model file")
     sub.add_argument("--out", required=True)
     sub.add_argument("--min-count", type=int, default=None,
                      help="report transitions seen fewer than this many times")
-    sub.set_defaults(func=cmd_estimate_transitions)
 
-    sub = commands.add_parser("synth", help="fabricate noisy emissions for gold")
-    _add_corpus_args(sub)
+    sub = command("synth", cmd_synth, "fabricate noisy emissions for gold")
     sub.add_argument("--state-noise", type=float, default=0.0)
     sub.add_argument("--location-noise", type=float, default=0.0)
     sub.add_argument("--bias-explicit", type=float, default=0.0)
     sub.add_argument("--bias-implicit", type=float, default=0.0)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
-    sub.set_defaults(func=cmd_synth)
 
-    sub = commands.add_parser("decode", help="Viterbi-decode state sequences")
-    _add_corpus_args(sub)
+    sub = command("decode", cmd_decode, "Viterbi-decode state sequences")
     _add_decode_args(sub)
     sub.add_argument("--out", required=True)
-    sub.set_defaults(func=cmd_decode)
 
-    sub = commands.add_parser("resolve",
-                              help="repair locations around decoded states")
-    _add_corpus_args(sub)
+    sub = command("resolve", cmd_resolve, "repair locations around decoded states")
     sub.add_argument("--decoded", required=True, help="output of decode")
     sub.add_argument("--emissions", required=True)
     sub.add_argument("--out", required=True)
-    sub.set_defaults(func=cmd_resolve)
 
-    sub = commands.add_parser("evaluate", help="score prediction grids")
-    _add_corpus_args(sub)
+    sub = command("evaluate", cmd_evaluate, "score prediction grids")
     sub.add_argument("--predictions", required=True)
     sub.add_argument("--per-procedure", action="store_true")
     sub.add_argument("--out", default=None)
-    sub.set_defaults(func=cmd_evaluate)
 
-    sub = commands.add_parser("tune", help="grid-search the emission weights")
-    _add_corpus_args(sub)
+    sub = command("tune", cmd_tune, "grid-search the emission weights")
     _add_decode_args(sub, taus=False)
     sub.add_argument("--grid", default=None,
                      help=f"start:stop:step, at most {decoder.GRID_MAX_VALUES} values "
@@ -273,18 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted and ignored: tune runs in one process")
     sub.add_argument("--out", default=None)
-    sub.set_defaults(func=cmd_tune)
 
-    sub = commands.add_parser("pipeline",
-                              help="decode, resolve, and score in one go")
-    _add_corpus_args(sub)
+    sub = command("pipeline", cmd_pipeline, "decode, resolve, and score in one go")
     _add_decode_args(sub)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted and ignored: the pipeline runs in one process")
     sub.add_argument("--per-procedure", action="store_true")
     sub.add_argument("--out", required=True)
-    sub.set_defaults(func=cmd_pipeline)
 
     return parser
 

@@ -495,18 +495,15 @@ def _parse_track(payload, num_steps: int, vocabulary: StateVocabulary) -> Track:
                  locations=tuple(map(LocationValue.from_token, locations)))
 
 
-def _parse_grid(tracks, procedure: Procedure, vocabulary: StateVocabulary,
-                kind: str) -> AnnotationGrid:
-    """The tracks of a corpus (`kind` "gold") or prediction record."""
+def _parse_grid(tracks, procedure: Procedure, vocabulary: StateVocabulary) -> AnnotationGrid:
+    """A corpus or prediction record's tracks, keyed by the corpus's own entity ids."""
     if not isinstance(tracks, dict):
         raise ValidationError("'gold' must be an object keyed by entity id")
-    known = {e.id for e in procedure.entities}
     entries = {}
     for entity_id, payload in tracks.items():
-        if entity_id not in known:
-            raise ValidationError(f"{kind} for unknown entity {entity_id!r}")
+        entity = procedure.entity(entity_id)
         try:
-            entries[entity_id] = _parse_track(payload, procedure.num_steps, vocabulary)
+            entries[entity.id] = _parse_track(payload, procedure.num_steps, vocabulary)
         except ValidationError as exc:
             raise ValidationError(f"entity {entity_id!r}: {exc}") from None
     return AnnotationGrid(procedure_id=procedure.id, entries=entries)
@@ -541,7 +538,7 @@ def load_corpus(path, vocabulary: StateVocabulary):
         procedures[procedure.id] = procedure
         gold = record.get("gold")
         if gold is not None:
-            grid = _parse_grid(gold, procedure, vocabulary, "gold")
+            grid = _parse_grid(gold, procedure, vocabulary)
             bad = grid_violations(grid, vocabulary)
             if bad:
                 first = bad[0]
@@ -575,9 +572,9 @@ def load_predictions(path, procedures: list[Procedure], vocabulary: StateVocabul
         if proc_id in grids:
             raise ValidationError(f"duplicate procedure id {proc_id!r}")
         gold = record.get("gold")               # missing or null: no predicted tracks
-        grid = _parse_grid({} if gold is None else gold, procedure, vocabulary, "prediction")
+        grid = _parse_grid({} if gold is None else gold, procedure, vocabulary)
         violations.extend((proc_id, v) for v in grid_violations(grid, vocabulary))
-        grids[proc_id] = grid
+        grids[procedure.id] = grid
 
     read_records(path, parse)
     return grids, violations

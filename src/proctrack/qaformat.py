@@ -95,7 +95,8 @@ def iter_instances(procedures, grids, vocabulary: StateVocabulary, kinds=KINDS):
     """All instances for a corpus, ordered by (procedure, entity, step, kind).
 
     State questions cover steps 1..T, location questions slots 0..T. Targets
-    are filled from gold grids where available and left empty otherwise.
+    are filled from gold grids where available and left empty otherwise. A
+    kind named twice counts once.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -103,11 +104,12 @@ def iter_instances(procedures, grids, vocabulary: StateVocabulary, kinds=KINDS):
     for kind in kinds:
         if kind not in KINDS:
             raise ValidationError(f"unknown instance kind {kind!r}")
+    kinds = sorted(set(kinds))                  # every kind is a known string by now
     for procedure in sorted(procedures, key=lambda p: p.id):
         gold = grids.get(procedure.id) if grids else None
         for entity in sorted(procedure.entities, key=lambda e: e.id):
             for t in range(procedure.num_steps + 1):
-                for kind in sorted(kinds):
+                for kind in kinds:
                     if kind == LOCATION:
                         yield format_location_instance(procedure, entity, t, gold)
                     elif t >= 1:

@@ -157,7 +157,8 @@ def test_split_commands_score_partial_gold_like_pipeline(tmp_path, capsys, caplo
     code = main(["evaluate", "--corpus", str(corpus_path), "--vocab", "propara",
                  "--predictions", str(ghost)])
     assert code == EXIT_VALIDATION
-    assert f"error: {ghost}:4: prediction for unknown entity 'ghost'" in capsys.readouterr().err
+    assert (f"error: {ghost}:4: procedure 'propara-0002' has no entity 'ghost'"
+            in capsys.readouterr().err)
 
 
 def test_evaluate_summarises_violations_per_rule(tmp_path, capsys, caplog):
@@ -509,6 +510,10 @@ BAD_RECORDS = {
     "corpus-locations": ("corpus", 1, lambda r, _: r.update(
         gold=_one_track(r, locations=["?"] * 6)),
         r"entity 'water': track needs T\+1 locations for T states, got 6 states and 6 locations"),
+    "corpus-unknown-entity": ("corpus", 1, lambda r, _: r.update(
+        gold={"ghost": r["gold"]["water"]}), "procedure 'hydropower' has no entity 'ghost'"),
+    "predictions-unknown-entity": ("predictions", 1, lambda r, _: r.update(
+        gold={"ghost": r["gold"]["water"]}), "procedure 'hydropower' has no entity 'ghost'"),
     "corpus-alias": ("corpus", 1, lambda r, _: r.update(
         entities=[{"id": "water", "raw_name": " ; "}]),
         "entity 'water': no usable alias in ' ; '"),
@@ -855,18 +860,46 @@ def test_missing_file_exits_four(tmp_path, capsys):
     assert "i/o error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "tune", "pipeline"])
+_DECODE_INPUTS = ["--emissions", str(EMISSIONS_PROPARA), "--model", str(MODEL_PROPARA)]
+# Each command's inputs beside its corpus, and what it does on a corpus without
+# gold: (exit code, error message or None). Only the scoring commands ask for
+# gold; `estimate-transitions` finds no sequence to count.
+_WITHOUT_GOLD = {
+    "stats": ([], EXIT_OK, None),
+    "format-qa": (["--out", "{out}"], EXIT_OK, None),
+    "estimate-transitions": (["--out", "{out}"], EXIT_VALIDATION,
+                             "cannot estimate transitions from an empty corpus"),
+    "synth": (["--out", "{out}"], EXIT_OK, None),
+    "decode": ([*_DECODE_INPUTS, "--out", "{out}"], EXIT_OK, None),
+    "resolve": (["--decoded", "{decoded}", "--emissions", str(EMISSIONS_PROPARA),
+                 "--out", "{out}"], EXIT_OK, None),
+    "evaluate": (["--predictions", str(CORPUS_PROPARA)], EXIT_VALIDATION,
+                 "evaluate needs gold grids in the corpus file"),
+    "tune": ([*_DECODE_INPUTS, "--out", "{out}"], EXIT_VALIDATION,
+             "tune needs gold grids in the corpus file"),
+    "pipeline": ([*_DECODE_INPUTS, "--out", "{out}"], EXIT_VALIDATION,
+                 "pipeline needs gold grids in the corpus file"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WITHOUT_GOLD))
 def test_scoring_without_gold_exits_two(tmp_path, capsys, command):
     corpus = tmp_path / "nogold.jsonl"
     records = [json.loads(line) for line in CORPUS_PROPARA.read_text().splitlines()]
     corpus.write_text("".join(json.dumps({k: v for k, v in r.items() if k != "gold"}) + "\n"
                               for r in records))
-    inputs = (["--predictions", str(CORPUS_PROPARA)] if command == "evaluate" else
-              ["--emissions", str(EMISSIONS_PROPARA), "--model", str(MODEL_PROPARA),
-               "--out", str(tmp_path / "out")])
-    code = main([command, "--corpus", str(corpus), "--vocab", "propara", *inputs])
-    assert code == EXIT_VALIDATION
-    assert f"error: {command} needs gold grids in the corpus file" in capsys.readouterr().err
+    inputs, code, message = _WITHOUT_GOLD[command]
+    decoded = tmp_path / "decoded.jsonl"
+    if command == "resolve":
+        assert main(["decode", *_corpus_args(), *_DECODE_INPUTS, "--out", str(decoded)]) == EXIT_OK
+    argv = [arg.format(out=tmp_path / "out", decoded=decoded) for arg in inputs]
+    capsys.readouterr()
+    assert main([command, "--corpus", str(corpus), "--vocab", "propara", *argv]) == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert "error" not in err
+    else:
+        assert f"error: {message}" in err
 
 
 def test_undecodable_model_exits_three(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Text-to-text QA rendering: choice lines, step indexing, export layout."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +118,20 @@ def test_instances_sorted_by_procedure_entity_step_kind():
         for i in iter_instances(procedures, grids, PROPARA)
     ]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("kinds", [("state",), ("location", "state")])
+def test_a_kind_named_twice_counts_once(kinds):
+    procedures, grids = load_corpus(CORPUS_PROPARA, PROPARA)
+    once = list(iter_instances(procedures, grids, PROPARA, kinds=kinds))
+    assert list(iter_instances(procedures, grids, PROPARA, kinds=kinds + kinds[:1])) == once
+
+
+@pytest.mark.parametrize("kind", ["states", None, ["state"]])
+def test_an_unknown_or_unhashable_kind_is_rejected(kind):
+    procedures, grids = load_corpus(CORPUS_PROPARA, PROPARA)
+    with pytest.raises(ValidationError, match=f"^unknown instance kind {re.escape(repr(kind))}$"):
+        list(iter_instances(procedures, grids, PROPARA, kinds=("state", kind, "state")))
 
 
 def test_export_writes_jsonl(tmp_path):

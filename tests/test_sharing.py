@@ -63,7 +63,7 @@ def test_canonical_names_the_first_unknown_label():
 
 
 def test_emissions_share_location_strings_and_the_corpus_ids():
-    procedures, _ = load_corpus(CORPUS_PROPARA, PROPARA)
+    procedures, gold = load_corpus(CORPUS_PROPARA, PROPARA)
     by_id = {p.id: p for p in procedures}
     emissions = load_emissions(EMISSIONS_PROPARA, procedures, PROPARA)
     preds = [p for eset in emissions.values() for track in eset.tracks.values()
@@ -76,6 +76,15 @@ def test_emissions_share_location_strings_and_the_corpus_ids():
         assert proc_id is procedure.id and eset.procedure_id is procedure.id
         own_ids = {id(e.id) for e in procedure.entities}
         assert {id(entity_id) for entity_id in eset.tracks} <= own_ids
+    # Gold and prediction grids are keyed by the same id objects.
+    predicted, _ = load_predictions(CORPUS_PROPARA, procedures, PROPARA)
+    for grids in (gold, predicted):
+        assert grids.keys() == by_id.keys()
+        for proc_id, grid in grids.items():
+            procedure = by_id[proc_id]
+            assert proc_id is procedure.id and grid.procedure_id is procedure.id
+            own_ids = {id(e.id) for e in procedure.entities}
+            assert {id(entity_id) for entity_id in grid.entries} <= own_ids
 
 
 def _replace_state(path, target, edit):
