@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare this checkout's outputs with those of another commit, file by file.
 
-    python3 scripts/compare_outputs.py --base REF [--seed N ...] [--fixtures]
+    python3 scripts/compare_outputs.py --base REF [--fixtures]
 
 REF's tree is extracted with `git archive REF | tar -x` into a temporary
 directory, which writes nothing into .git and needs no network. The other
@@ -13,14 +13,14 @@ nothing from proctrack.
 Compared, with one name per file:
 
 * help/: `proctrack --help` and each command's `--help`, under COLUMNS=80;
-* inputs/seedN/<workload>/: for each --seed (default 1 and 104729) and each
-  benchmark workload, the files that each side's
-  `perfbench/workloads.generate` writes;
-* seedN/<workload>/: each side's CLI on the base's inputs: the workload's
-  own command, its argv built from the `Workload` fields without --jobs
-  (`workload/`), and the same command with `--per-procedure` for
-  `pipeline` or `--grid 0.01:1.5:0.01` for `tune` (`per-procedure/`,
-  `fine-grid/`);
+* inputs/seedN/<workload>/: for seeds 1 and 104729 and each benchmark
+  workload, the files that each side's `perfbench/workloads.generate`
+  writes;
+* seedN/<workload>/: each side's CLI on the base's inputs: the command
+  that the base's `Workload.cli_args` builds for the benchmark, less its
+  `--jobs` pair, which one side may lack (`workload/`), and the same
+  command with `--per-procedure` for `pipeline` or
+  `--grid 0.01:1.5:0.01` for `tune` (`per-procedure/`, `fine-grid/`);
 * fixtures/<vocab>/<command>/: with --fixtures, in place of inputs/ and
   seedN/, every command on the fixture corpus, emissions and model of
   each vocabulary in tests/fixtures/;
@@ -47,7 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
-DEFAULT_SEEDS = (1, 104729)
+SEEDS = (1, 104729)
 HASH_SEEDS = ("0", "12345")
 CHILD_TIMEOUT_S = 1800
 # The run each workload command gets beside its own: (label, extra arguments).
@@ -99,6 +99,7 @@ for label, argv in json.loads(sys.argv[3]):
 
 # argv[2] is the directory to write into, argv[3] a JSON list of seeds.
 # Prints the argv of each workload's command on the inputs, by run label.
+# The outputs go to the run's working directory.
 GENERATE_CODE = """\
 import workloads
 
@@ -107,11 +108,10 @@ for seed in json.loads(sys.argv[3]):
     for name, workload in workloads.WORKLOADS.items():
         inputs = Path(sys.argv[2], f"seed{seed}", name)
         workloads.generate(workload, seed, inputs)
-        commands[f"seed{seed}/{name}"] = [
-            workload.command, "--corpus", str(inputs / workloads.CORPUS),
-            "--vocab", workload.vocab, "--emissions", str(inputs / workloads.EMISSIONS),
-            "--model", str(inputs / workloads.MODEL), *(["--relax"] if workload.relax else []),
-            "--out", "out" if workload.command == "pipeline" else workloads.TUNE_OUTPUT]
+        argv = workload.cli_args(inputs, Path("."))
+        if "--jobs" in argv:
+            del argv[argv.index("--jobs"):argv.index("--jobs") + 2]
+        commands[f"seed{seed}/{name}"] = argv
 print(json.dumps(commands))
 """
 
@@ -169,13 +169,13 @@ def report(first: Path, second: Path, prefix: str = "") -> list[str]:
     return lines
 
 
-def compare(base: Path, work: Path, seeds, fixtures: bool) -> list[str]:
+def compare(base: Path, work: Path, fixtures: bool) -> list[str]:
     lines = []
     if fixtures:
         runs = fixture_runs()
     else:
-        commands = json.loads(child(base, GENERATE_CODE, work / "inputs" / "base", seeds))
-        child(ROOT, GENERATE_CODE, work / "inputs" / "head", seeds)
+        commands = json.loads(child(base, GENERATE_CODE, work / "inputs" / "base", SEEDS))
+        child(ROOT, GENERATE_CODE, work / "inputs" / "head", SEEDS)
         lines += report(work / "inputs" / "base", work / "inputs" / "head", "inputs/")
         runs = []
         for label, argv in commands.items():
@@ -194,8 +194,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="compare this checkout's outputs with another commit's, file by file")
     parser.add_argument("--base", required=True, help="the commit to compare with (a git revision)")
-    parser.add_argument("--seed", type=int, action="append",
-                        help="workload seed; repeat for more (default: 1 and 104729)")
     parser.add_argument("--fixtures", action="store_true",
                         help="run every command on tests/fixtures/ instead of the workloads")
     args = parser.parse_args(argv)
@@ -207,7 +205,7 @@ def main(argv=None) -> int:
             archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.base],
                                      capture_output=True, check=True).stdout
             subprocess.run(["tar", "-x", "-f", "-", "-C", str(base)], input=archive, check=True)
-            lines = compare(base, work, args.seed or list(DEFAULT_SEEDS), args.fixtures)
+            lines = compare(base, work, args.fixtures)
         except subprocess.CalledProcessError as exc:
             print(f"error: {' '.join(exc.cmd)}: {(exc.stderr or b'').decode().strip()}",
                   file=sys.stderr)
