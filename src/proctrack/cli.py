@@ -74,7 +74,7 @@ def cmd_format_qa(args) -> int:
 
 
 def cmd_estimate_transitions(args) -> int:
-    vocabulary, procedures, grids, *_ = _load(args)
+    vocabulary, procedures, grids, *_ = _load(args, gold=True)
     model = transitions.estimate(grids.values(), vocabulary)
     # The audit checks --min-count, so it runs before the model is written.
     rare = None if args.min_count is None else transitions.audit_rare_transitions(
@@ -120,23 +120,25 @@ def cmd_decode(args) -> int:
 def cmd_resolve(args) -> int:
     from . import consistency
     vocabulary, procedures, _, _, emissions = _load(args)
-    known = {p.id for p in procedures}
+    by_id = {p.id: p for p in procedures}
     grids: dict[str, corpus.AnnotationGrid] = {}
 
     def parse(record):
         proc_id = corpus.check_str(record.get("procedure_id"), "'procedure_id'")
         entity_id = corpus.check_str(record.get("entity_id"), "'entity_id'")
         states = corpus.check_str_list(record.get("states"), "'states'")
-        if proc_id not in known:
-            raise ValidationError(f"unknown procedure {proc_id!r}")
-        eset = emissions.get(proc_id)
-        track = eset.tracks.get(entity_id) if eset else None
+        procedure = by_id.get(proc_id)
+        if procedure is None:
+            raise ValidationError(f"unknown procedure id {proc_id!r}")
+        entity = procedure.entity(entity_id)
+        eset = emissions.get(procedure.id)
+        track = eset.tracks.get(entity.id) if eset else None
         if track is None:
             raise ValidationError(f"no emissions for ({proc_id!r}, {entity_id!r})")
-        grid = grids.setdefault(proc_id, corpus.AnnotationGrid(proc_id, {}))
-        if entity_id in grid.entries:
+        grid = grids.setdefault(procedure.id, corpus.AnnotationGrid(procedure.id, {}))
+        if entity.id in grid.entries:
             raise ValidationError(f"duplicate decoded states for ({proc_id!r}, {entity_id!r})")
-        grid.entries[entity_id] = consistency.resolve(
+        grid.entries[entity.id] = consistency.resolve(
             states, track.location_preds, vocabulary).track()
 
     corpus.read_records(args.decoded, parse)

@@ -61,9 +61,7 @@ class EmissionTrack:
     location_preds: tuple[str, ...]
 
     def __post_init__(self):
-        self.state_logits = _logit_matrix(self.state_logits)
-        if not np.isfinite(self.state_logits).all():
-            raise ValidationError("state logits must all be finite")
+        self.state_logits = _logit_matrix(self.state_logits, finite=True)
         self.location_preds = tuple(check_str_list(self.location_preds, "'location_preds'"))
         if (count := len(self.location_preds)) != self.num_steps + 1:
             raise ValidationError(f"expected {self.num_steps + 1} location predictions, got {count}")
@@ -94,11 +92,20 @@ def detect_mentions(procedure: Procedure, entity: Entity) -> tuple[bool, ...]:
     return tuple(flags)
 
 
-def _logit_matrix(logits, name: str = "state_logits") -> np.ndarray:
+def _logit_matrix(logits, name: str = "state_logits", *, steps=None, labels=None,
+                  finite=False) -> np.ndarray:
     """The argument `name` as a float array, which must be a (T, L) matrix of
-    real numbers that are not bools (`transitions.real_array`)."""
+    real numbers that are not bools (`transitions.real_array`) with `steps`
+    rows and `labels` columns where given, and all finite with `finite`.
+    The one check of each logit fact, in that order, and its one message."""
     if (matrix := real_array(logits, 2)) is None or matrix.ndim != 2:
         raise ValidationError(f"{name} must be a (T, L) matrix")
+    if steps is not None and matrix.shape[0] != steps:
+        raise ValidationError(f"{name} has {matrix.shape[0]} rows for {steps} steps")
+    if labels is not None and matrix.shape[1] != labels:
+        raise ValidationError(f"{name} has {matrix.shape[1]} columns for {labels} labels")
+    if finite and not np.isfinite(matrix).all():
+        raise ValidationError(f"{name} must all be finite")
     return matrix
 
 
@@ -118,10 +125,7 @@ def weight_emissions(state_logits, flags, config: DecodeConfig) -> np.ndarray:
 def argmax_states(state_logits, vocabulary: StateVocabulary) -> list[str]:
     """Per-step argmax baseline, ignoring transitions. Ties pick the lowest
     label index."""
-    logits = _logit_matrix(state_logits)
-    if logits.shape[1] != vocabulary.size:
-        raise ValidationError(
-            f"logits have {logits.shape[1]} columns for {vocabulary.size} labels")
+    logits = _logit_matrix(state_logits, labels=vocabulary.size)
     return [vocabulary.labels[j] for j in logits.argmax(axis=1)]
 
 
@@ -146,15 +150,9 @@ def viterbi(emissions, model: TransitionModel, relax: bool = False,
     under relax those with the fewest vetoes. It equals score on a tie and
     is -inf when there is no second such sequence.
     """
-    U = _logit_matrix(emissions, "emissions")
-    size = model.vocabulary.size
-    if U.shape[1] != size:
-        raise ValidationError(
-            f"emissions have {U.shape[1]} columns for {size} labels")
+    U = _logit_matrix(emissions, "emissions", labels=model.vocabulary.size, finite=True)
     if U.shape[0] < 1:
         raise ValidationError("emissions must cover at least one step")
-    if not np.isfinite(U).all():
-        raise ValidationError("emission scores must all be finite")
 
     rows = U.tolist()
     start, trans = model.start_scores, model.trans_scores
@@ -265,11 +263,7 @@ def rounding_bound(state_logits, tau: float, model: TransitionModel) -> float:
 def decode_entity(procedure: Procedure, entity: Entity, track: EmissionTrack,
                   model: TransitionModel, config: DecodeConfig) -> list[str]:
     """Mention-weighted decode for one entity; returns its state sequence."""
-    logits = _logit_matrix(track.state_logits)
-    if len(logits) != procedure.num_steps:
-        raise ValidationError(
-            f"emissions cover {len(logits)} steps but procedure "
-            f"{procedure.id!r} has {procedure.num_steps}")
+    logits = _logit_matrix(track.state_logits, steps=procedure.num_steps)
     weighted = weight_emissions(logits, detect_mentions(procedure, entity), config)
     states, _ = viterbi(weighted, model)
     return states
@@ -296,12 +290,7 @@ def load_emissions(path, procedures, vocabulary: StateVocabulary):
         entity = procedure.entity(entity_id)
         track = EmissionTrack(record.get("state_logits"), preds := record.get("location_preds"))
         track.location_preds = tuple(map(shared.setdefault, preds, preds))
-        if track.num_steps != procedure.num_steps:
-            raise ValidationError(
-                f"{track.num_steps} logit rows for {procedure.num_steps} steps")
-        if track.state_logits.shape[1] != vocabulary.size:
-            raise ValidationError(
-                f"{track.state_logits.shape[1]} logit columns for {vocabulary.size} labels")
+        _logit_matrix(track.state_logits, steps=procedure.num_steps, labels=vocabulary.size)
         bucket = sets.setdefault(procedure.id, EmissionSet(procedure.id, {}))
         if entity.id in bucket.tracks:
             raise ValidationError(f"duplicate emissions for ({proc_id!r}, {entity_id!r})")

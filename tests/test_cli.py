@@ -304,7 +304,7 @@ def test_overflowed_weighted_logit_names_the_entity(tmp_path, capsys, command):
                      "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
     assert (f"error: procedure {record['procedure_id']!r}, entity {record['entity_id']!r}: "
-            "emission scores must all be finite") in capsys.readouterr().err
+            "emissions must all be finite") in capsys.readouterr().err
 
 
 def _huge_first_track(tmp_path, logit=1e308):
@@ -490,19 +490,22 @@ def _one_track(record, **fields):
 # line's record given (record, all records), the message after "path:line: ").
 BAD_RECORDS = {
     "decoded-unknown-procedure": ("decoded", 1, lambda r, _: r.update(procedure_id="ghost"),
-                                  "unknown procedure 'ghost'"),
+                                  "unknown procedure id 'ghost'"),
+    # An entity the procedure lacks fails its lookup before the emissions do;
+    # see test_resolve_names_a_real_entity_without_emissions.
     "decoded-no-emissions": ("decoded", 1, lambda r, _: r.update(entity_id="ghost"),
-                             r"no emissions for \('hydropower', 'ghost'\)"),
+                             "procedure 'hydropower' has no entity 'ghost'"),
     "emissions-unknown-procedure": ("emissions", 1, lambda r, _: r.update(procedure_id="ghost"),
                                     "unknown procedure id 'ghost'"),
     "emissions-rows": ("emissions", 1, lambda r, _: r.update(
         state_logits=r["state_logits"][1:], location_preds=r["location_preds"][1:]),
-        "5 logit rows for 6 steps"),
+        "state_logits has 5 rows for 6 steps"),
     "emissions-columns": ("emissions", 1, lambda r, _: r.update(
-        state_logits=[row[1:] for row in r["state_logits"]]), "5 logit columns for 6 labels"),
+        state_logits=[row[1:] for row in r["state_logits"]]),
+        "state_logits has 5 columns for 6 labels"),
     "emissions-not-finite": ("emissions", 1, lambda r, _: r.update(
         state_logits=[[float("inf")] * 6, *r["state_logits"][1:]]),
-        "state logits must all be finite"),
+        "state_logits must all be finite"),
     "corpus-track-not-object": ("corpus", 1, lambda r, _: r.update(gold={"water": []}),
                                 "entity 'water': track must be an object"),
     "corpus-states": ("corpus", 1, lambda r, _: r.update(
@@ -536,6 +539,15 @@ def test_each_bad_record_exits_two_naming_its_file_and_line(split_files, tmp_pat
     assert main(_fuzz_argv(files, tmp_path / "out")[kind]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert re.fullmatch(rf"error: {re.escape(str(files[kind]))}:{lineno}: {message}\n", err), err
+
+
+def test_resolve_names_a_real_entity_without_emissions(split_files, tmp_path, capsys):
+    emissions = tmp_path / "emissions.jsonl"      # all but hydropower's water
+    emissions.write_text("".join(EMISSIONS_PROPARA.read_text().splitlines(True)[1:]))
+    files = {**split_files, "emissions": emissions}
+    assert main(_fuzz_argv(files, tmp_path / "out")["decoded"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: {files['decoded']}:1: no emissions for ('hydropower', 'water')\n")
 
 
 @pytest.mark.parametrize("min_count", [1, 5])
@@ -862,13 +874,13 @@ def test_missing_file_exits_four(tmp_path, capsys):
 
 _DECODE_INPUTS = ["--emissions", str(EMISSIONS_PROPARA), "--model", str(MODEL_PROPARA)]
 # Each command's inputs beside its corpus, and what it does on a corpus without
-# gold: (exit code, error message or None). Only the scoring commands ask for
-# gold; `estimate-transitions` finds no sequence to count.
+# gold: (exit code, error message or None). The scoring commands ask for gold,
+# and so does `estimate-transitions`, which counts the gold sequences.
 _WITHOUT_GOLD = {
     "stats": ([], EXIT_OK, None),
     "format-qa": (["--out", "{out}"], EXIT_OK, None),
     "estimate-transitions": (["--out", "{out}"], EXIT_VALIDATION,
-                             "cannot estimate transitions from an empty corpus"),
+                             "estimate-transitions needs gold grids in the corpus file"),
     "synth": (["--out", "{out}"], EXIT_OK, None),
     "decode": ([*_DECODE_INPUTS, "--out", "{out}"], EXIT_OK, None),
     "resolve": (["--decoded", "{decoded}", "--emissions", str(EMISSIONS_PROPARA),
@@ -978,7 +990,7 @@ def test_overflow_in_tune_names_the_first_failing_cell(tmp_path, capsys, row, ce
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == (
         f"error: grid cell {cell}: procedure 'hydropower', entity 'electricity': "
-        "emission scores must all be finite\n")
+        "emissions must all be finite\n")
 
 
 def test_relax_rescues_undecodable_model(tmp_path):

@@ -669,6 +669,39 @@ def test_logits_that_are_not_a_matrix_are_rejected(decode, name, logits):
         decode(logits)
 
 
+# Per logit fact, logits that break it and the message of each entry point
+# that checks it; `decode_entity` leaves columns and finiteness to `viterbi`.
+LOGIT_FACTS = {
+    "rows": (np.zeros((3, PROPARA.size)), {
+        "decode_entity": "state_logits has 3 rows for 2 steps"}),
+    "columns": (np.zeros((2, PROPARA.size - 1)), {
+        "argmax_states": "state_logits has 5 columns for 6 labels",
+        "viterbi": "emissions has 5 columns for 6 labels",
+        "decode_entity": "emissions has 5 columns for 6 labels"}),
+    "not-finite": (np.array([[math.inf] + [0.0] * (PROPARA.size - 1),
+                             [0.0] * (PROPARA.size - 1) + [math.nan]]), {
+        "EmissionTrack": "state_logits must all be finite",
+        "viterbi": "emissions must all be finite",
+        "decode_entity": "emissions must all be finite"}),
+}
+_FACT_WORDING = r"(state_logits|emissions) (has \d+ (rows|columns) for|must all be finite)"
+
+
+@pytest.mark.parametrize("fact", LOGIT_FACTS)
+@pytest.mark.parametrize("entry", [call.id for call in LOGIT_CALLS])
+def test_each_logit_fact_has_one_wording_at_every_entry_point(entry, fact):
+    decode = next(call.values[0] for call in LOGIT_CALLS if call.id == entry)
+    logits, messages = LOGIT_FACTS[fact]
+    if entry in messages:
+        with pytest.raises(ValidationError, match=f"^{re.escape(messages[entry])}$"):
+            decode(logits)
+        return
+    try:                    # an entry point that does not check the fact
+        decode(logits)
+    except ValidationError as exc:
+        assert not re.match(_FACT_WORDING, str(exc)), exc
+
+
 @pytest.mark.parametrize("decode, name", LOGIT_CALLS)
 def test_an_int_array_and_rows_of_numpy_floats_are_logits(decode, name):
     """Each gives the result of the float matrix with the same values."""
@@ -776,6 +809,14 @@ def _set_cell(record, value):
                  id="bool-logit"),
     pytest.param(lambda record: record.update(entity_id="ghost"),
                  "procedure 'hydropower' has no entity 'ghost'", id="unknown-entity"),
+    pytest.param(lambda record: record.update(state_logits=record["state_logits"][1:],
+                                              location_preds=record["location_preds"][1:]),
+                 "state_logits has 5 rows for 6 steps", id="rows"),
+    pytest.param(lambda record: record.update(
+        state_logits=[row[1:] for row in record["state_logits"]]),
+                 "state_logits has 5 columns for 6 labels", id="columns"),
+    pytest.param(lambda record: _set_cell(record, math.inf), "state_logits must all be finite",
+                 id="not-finite"),
 ])
 def test_emissions_load_names_the_line_of_a_bad_logit_or_entity(tmp_path, edit, message):
     procedures, _ = load_corpus(CORPUS_PROPARA, PROPARA)

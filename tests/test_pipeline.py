@@ -36,11 +36,11 @@ def _fixture_inputs(vocab="propara"):
 def test_taus_that_overflow_the_weighted_logits_raise_validation_error():
     procedures, grids, model, emissions = _fixture_inputs()
     config = DecodeConfig(1e308, 1e308)
-    with pytest.raises(ValidationError, match="emission scores must all be finite"):
+    with pytest.raises(ValidationError, match="emissions must all be finite"):
         run_pipeline(procedures, grids, emissions, model, PROPARA, config)
     procedure = procedures[0]
     entity_id, track = next(iter(emissions[procedure.id].tracks.items()))
-    with pytest.raises(ValidationError, match="emission scores must all be finite"):
+    with pytest.raises(ValidationError, match="emissions must all be finite"):
         decode_entity(procedure, procedure.entity(entity_id), track, model, config)
 
 
