@@ -126,7 +126,6 @@ def cmd_resolve(args) -> int:
     def parse(record):
         proc_id = corpus.check_str(record.get("procedure_id"), "'procedure_id'")
         entity_id = corpus.check_str(record.get("entity_id"), "'entity_id'")
-        states = corpus.check_str_list(record.get("states"), "'states'")
         procedure = by_id.get(proc_id)
         if procedure is None:
             raise ValidationError(f"unknown procedure id {proc_id!r}")
@@ -139,7 +138,7 @@ def cmd_resolve(args) -> int:
         if entity.id in grid.entries:
             raise ValidationError(f"duplicate decoded states for ({proc_id!r}, {entity_id!r})")
         grid.entries[entity.id] = consistency.resolve(
-            states, track.location_preds, vocabulary).track()
+            record.get("states"), track.location_preds, vocabulary).track()
 
     corpus.read_records(args.decoded, parse)
     corpus.save_corpus(procedures, grids, args.out)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import LocationValue, StateVocabulary, Track, coupling_breaks, parse_prediction
+from .corpus import (LocationValue, StateVocabulary, Track, check_str_list, coupling_breaks,
+                     parse_prediction)
 from .errors import ValidationError
 
 
@@ -47,20 +48,13 @@ def resolve(states, location_preds, vocabulary: StateVocabulary) -> ResolvedTrac
     produce (a sequence that admits no consistent locations at all, such as
     create immediately after move, is repaired best-effort).
     """
-    try:
-        states, count = tuple(states), len(location_preds)
-    except TypeError:                       # either is not a sequence
-        raise ValidationError("states and location predictions must be sequences") from None
+    states = vocabulary.canonical(check_str_list(states, "'states'"))
+    count = len(check_str_list(location_preds, "'location_preds'"))
     if not states:
         raise ValidationError("resolve needs at least one step")
     if count != len(states) + 1:
         raise ValidationError(f"{count} location predictions for {len(states)} steps")
-    states = vocabulary.canonical(states)
-
-    try:
-        locations = [parse_prediction(p) for p in location_preds]
-    except (AttributeError, TypeError):     # not a string
-        raise ValidationError("location predictions must be strings") from None
+    locations = list(map(parse_prediction, location_preds))
     repairs: list[Repair] = []
     for t, state in enumerate(states, start=1):
         for slot, required, rule, _, _ in coupling_breaks(

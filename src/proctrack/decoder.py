@@ -263,7 +263,8 @@ def rounding_bound(state_logits, tau: float, model: TransitionModel) -> float:
 def decode_entity(procedure: Procedure, entity: Entity, track: EmissionTrack,
                   model: TransitionModel, config: DecodeConfig) -> list[str]:
     """Mention-weighted decode for one entity; returns its state sequence."""
-    logits = _logit_matrix(track.state_logits, steps=procedure.num_steps)
+    logits = _logit_matrix(track.state_logits, steps=procedure.num_steps,
+                           labels=model.vocabulary.size, finite=True)
     weighted = weight_emissions(logits, detect_mentions(procedure, entity), config)
     states, _ = viterbi(weighted, model)
     return states

@@ -495,6 +495,8 @@ BAD_RECORDS = {
     # see test_resolve_names_a_real_entity_without_emissions.
     "decoded-no-emissions": ("decoded", 1, lambda r, _: r.update(entity_id="ghost"),
                              "procedure 'hydropower' has no entity 'ghost'"),
+    "decoded-states-string": ("decoded", 1, lambda r, _: r.update(states="exist"),
+                              "'states' must be a list of strings"),
     "emissions-unknown-procedure": ("emissions", 1, lambda r, _: r.update(procedure_id="ghost"),
                                     "unknown procedure id 'ghost'"),
     "emissions-rows": ("emissions", 1, lambda r, _: r.update(

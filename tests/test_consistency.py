@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     CORPUS_PROPARA,
@@ -124,8 +124,36 @@ def test_resolve_validates_shapes():
         resolve(["exist"], ["?"], PROPARA)
     with pytest.raises(ValidationError):
         resolve(["grow"], ["?", "?"], PROPARA)
-    with pytest.raises(ValidationError, match="location predictions must be strings"):
+    with pytest.raises(ValidationError, match="'location_preds' must be a list of strings"):
         resolve(["exist"], [None, None], PROPARA)
+
+
+_TEXT = st.sampled_from(["exist", "absence", "bowl", "oven", "?", "-"]) | st.text(max_size=4)
+_NOT_STR = (st.none() | st.booleans() | st.integers() | st.floats() | st.binary(max_size=2)
+            | st.lists(_TEXT, max_size=2) | st.just(np.str_("exist")))
+# Each kind of value that is not a list or tuple of strings.
+NOT_STR_LISTS = (
+    _TEXT
+    | st.dictionaries(_TEXT, st.integers(), max_size=3)
+    | st.sets(_TEXT, max_size=3)
+    | st.lists(_TEXT, max_size=3).map(lambda items: (item for item in items))
+    | st.lists(_TEXT, min_size=1, max_size=3).map(np.array)
+    | st.builds(lambda kind, items: kind(items), st.sampled_from([list, tuple]),
+                st.lists(_TEXT | _NOT_STR, min_size=1, max_size=4).filter(
+                    lambda items: any(type(item) is not str for item in items))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["states", "location_preds"]), NOT_STR_LISTS)
+@example("location_preds", "ab")
+@example("location_preds", {"bowl": 1, "oven": 2})
+@example("location_preds", {"bowl", "oven"})
+def test_resolve_takes_only_lists_of_strings(argument, value):
+    # A one-step track, so that two predictions of any kind fit its count.
+    arguments = {"states": ["exist"], "location_preds": ["bowl", "oven"]}
+    arguments[argument] = value
+    with pytest.raises(ValidationError, match=f"^'{argument}' must be a list of strings$"):
+        resolve(arguments["states"], arguments["location_preds"], RECIPES)
 
 
 def test_track_method_returns_valid_grid_row():

@@ -670,19 +670,20 @@ def test_logits_that_are_not_a_matrix_are_rejected(decode, name, logits):
 
 
 # Per logit fact, logits that break it and the message of each entry point
-# that checks it; `decode_entity` leaves columns and finiteness to `viterbi`.
+# that checks it; `decode_entity` names all three as `state_logits`, as its
+# caller passed them, before `viterbi` sees the weighted array.
 LOGIT_FACTS = {
     "rows": (np.zeros((3, PROPARA.size)), {
         "decode_entity": "state_logits has 3 rows for 2 steps"}),
     "columns": (np.zeros((2, PROPARA.size - 1)), {
         "argmax_states": "state_logits has 5 columns for 6 labels",
         "viterbi": "emissions has 5 columns for 6 labels",
-        "decode_entity": "emissions has 5 columns for 6 labels"}),
+        "decode_entity": "state_logits has 5 columns for 6 labels"}),
     "not-finite": (np.array([[math.inf] + [0.0] * (PROPARA.size - 1),
                              [0.0] * (PROPARA.size - 1) + [math.nan]]), {
         "EmissionTrack": "state_logits must all be finite",
         "viterbi": "emissions must all be finite",
-        "decode_entity": "emissions must all be finite"}),
+        "decode_entity": "state_logits must all be finite"}),
 }
 _FACT_WORDING = r"(state_logits|emissions) (has \d+ (rows|columns) for|must all be finite)"
 

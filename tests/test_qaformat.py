@@ -37,6 +37,17 @@ def test_choices_line_recipes():
     assert choices_line(RECIPES) == "(a) exist (b) absence"
 
 
+@pytest.mark.parametrize("vocabulary, columns", [
+    (PROPARA, {"a": 0, "b": 1, "c": 3, "d": 4, "e": 5, "f": 2}),
+    (RECIPES, {"a": 0, "b": 1}),
+])
+def test_each_choice_letter_names_the_logit_column_the_readme_gives(vocabulary, columns):
+    # A model's answer to letter x belongs in this column of `state_logits`.
+    letters = dict(re.findall(r"\((\w)\) (\w+)", choices_line(vocabulary)))
+    assert {letter: vocabulary.labels.index(label)
+            for letter, label in letters.items()} == columns
+
+
 def test_indexed_steps_prefixes_each_step():
     procedure, _ = _hydropower()
     text = indexed_steps(procedure)
