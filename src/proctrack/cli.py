@@ -120,30 +120,18 @@ def cmd_decode(args) -> int:
 def cmd_resolve(args) -> int:
     from . import consistency
     vocabulary, procedures, _, _, emissions = _load(args)
-    by_id = {p.id: p for p in procedures}
-    grids: dict[str, corpus.AnnotationGrid] = {}
 
-    def parse(record):
-        proc_id = corpus.check_str(record.get("procedure_id"), "'procedure_id'")
-        entity_id = corpus.check_str(record.get("entity_id"), "'entity_id'")
-        procedure = by_id.get(proc_id)
-        if procedure is None:
-            raise ValidationError(f"unknown procedure id {proc_id!r}")
-        entity = procedure.entity(entity_id)
+    def parse(record, procedure, entity):
         eset = emissions.get(procedure.id)
         track = eset.tracks.get(entity.id) if eset else None
         if track is None:
-            raise ValidationError(f"no emissions for ({proc_id!r}, {entity_id!r})")
-        grid = grids.setdefault(procedure.id, corpus.AnnotationGrid(procedure.id, {}))
-        if entity.id in grid.entries:
-            raise ValidationError(f"duplicate decoded states for ({proc_id!r}, {entity_id!r})")
-        grid.entries[entity.id] = consistency.resolve(
-            record.get("states"), track.location_preds, vocabulary).track()
+            raise ValidationError(f"no emissions for ({procedure.id!r}, {entity.id!r})")
+        return consistency.resolve(record.get("states"), track.location_preds, vocabulary).track()
 
-    corpus.read_records(args.decoded, parse)
-    corpus.save_corpus(procedures, grids, args.out)
-    total = sum(len(g.entries) for g in grids.values())
-    print(f"resolved {total} tracks to {args.out}")
+    tracks = corpus.read_entity_records(args.decoded, procedures, parse, "decoded states")
+    corpus.save_corpus(procedures, {proc_id: corpus.AnnotationGrid(proc_id, entries)
+                                    for proc_id, entries in tracks.items()}, args.out)
+    print(f"resolved {sum(map(len, tracks.values()))} tracks to {args.out}")
     return EXIT_OK
 
 

@@ -432,6 +432,28 @@ def read_records(path, parse) -> None:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from None
 
 
+def read_entity_records(path, procedures, parse, what: str) -> dict[str, dict]:
+    """{procedure id: {entity id: parse(record, procedure, entity)}} for a file
+    of one record per (procedure, entity), keyed by the corpus's own ids; a
+    second record for a pair fails with `duplicate {what} for ('p', 'e')`."""
+    by_id = {p.id: p for p in procedures}
+    found: dict[str, dict] = {}
+
+    def parse_record(record):
+        proc_id = check_str(record.get("procedure_id"), "'procedure_id'")
+        entity_id = check_str(record.get("entity_id"), "'entity_id'")
+        if (procedure := by_id.get(proc_id)) is None:
+            raise ValidationError(f"unknown procedure id {proc_id!r}")
+        entity = procedure.entity(entity_id)
+        entries = found.setdefault(procedure.id, {})
+        if entity.id in entries:                # before the record's own fields are parsed
+            raise ValidationError(f"duplicate {what} for ({proc_id!r}, {entity_id!r})")
+        entries[entity.id] = parse(record, procedure, entity)
+
+    read_records(path, parse_record)
+    return found
+
+
 @contextmanager
 def _replacing(path):
     """A text handle on a file beside `path` that takes its place only when

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (Entity, Procedure, StateVocabulary, check_str, check_str_list,
-                     read_records, token_text, write_records)
+from .corpus import (Entity, Procedure, StateVocabulary, check_str_list, read_entity_records,
+                     token_text, write_records)
 from .errors import NoValidPathError, ValidationError
 from .transitions import TransitionModel, real_array, veto_counts
 
@@ -278,27 +278,16 @@ def load_emissions(path, procedures, vocabulary: StateVocabulary):
     against the corpus and all logits must be finite. Ids are the corpus's
     own objects, and equal location predictions are one string object.
     """
-    by_id = {p.id: p for p in procedures}
-    sets: dict[str, EmissionSet] = {}
     shared: dict[str, str] = {}
 
-    def parse(record):
-        proc_id = check_str(record.get("procedure_id"), "'procedure_id'")
-        entity_id = check_str(record.get("entity_id"), "'entity_id'")
-        procedure = by_id.get(proc_id)
-        if procedure is None:
-            raise ValidationError(f"unknown procedure id {proc_id!r}")
-        entity = procedure.entity(entity_id)
+    def parse(record, procedure, entity):
         track = EmissionTrack(record.get("state_logits"), preds := record.get("location_preds"))
         track.location_preds = tuple(map(shared.setdefault, preds, preds))
         _logit_matrix(track.state_logits, steps=procedure.num_steps, labels=vocabulary.size)
-        bucket = sets.setdefault(procedure.id, EmissionSet(procedure.id, {}))
-        if entity.id in bucket.tracks:
-            raise ValidationError(f"duplicate emissions for ({proc_id!r}, {entity_id!r})")
-        bucket.tracks[entity.id] = track
+        return track
 
-    read_records(path, parse)
-    return sets
+    tracks = read_entity_records(path, procedures, parse, "emissions")
+    return {proc_id: EmissionSet(proc_id, by_entity) for proc_id, by_entity in tracks.items()}
 
 
 def save_emissions(sets, path) -> None:

@@ -9,10 +9,11 @@ full context.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 
-from .corpus import AnnotationGrid, Entity, Procedure, StateVocabulary, write_records
+from .corpus import AnnotationGrid, Entity, Procedure, StateVocabulary, check_int, write_records
 from .errors import ValidationError
 
 STATE = "state"
@@ -52,42 +53,37 @@ def indexed_steps(procedure: Procedure) -> str:
     return " ".join(f"step {k}: {text}" for k, text in enumerate(procedure.steps, start=1))
 
 
+def _checked(procedure: Procedure, entity: Entity, t, gold, what: str, least: int):
+    """(t, the entity's gold track or None). The entity must be one of the
+    procedure's, and `t` an int (`corpus.check_int`, which checks only its
+    type here) from `least` to the procedure's step count."""
+    procedure.entity(entity.id)
+    if not least <= (t := check_int(t, what, -math.inf)) <= procedure.num_steps:
+        raise ValidationError(f"{what} {t} out of range {least}..{procedure.num_steps} "
+                              f"for procedure {procedure.id!r}")
+    return t, None if gold is None else gold.entries.get(entity.id)
+
+
 def format_state_instance(procedure: Procedure, entity: Entity, t: int,
                           vocabulary: StateVocabulary,
                           gold: AnnotationGrid | None = None) -> QAInstance:
     """Multiple-choice state question for step t (1-based)."""
-    procedure.entity(entity.id)                 # it must be one of the procedure's
-    if not 1 <= t <= procedure.num_steps:
-        raise ValidationError(
-            f"state step {t} out of range 1..{procedure.num_steps} "
-            f"for procedure {procedure.id!r}")
+    t, track = _checked(procedure, entity, t, gold, "state step", 1)
     question = f"What is the state of {entity.aliases[0]} in step {t}?"
     input_text = f"{question}\n{choices_line(vocabulary)}\n{indexed_steps(procedure)}"
-    target = ""
-    if gold is not None:
-        track = gold.entries.get(entity.id)
-        if track is not None:
-            target = track.states[t - 1]
+    target = "" if track is None else track.states[t - 1]
     return QAInstance(procedure.id, entity.id, t, STATE, input_text, target)
 
 
 def format_location_instance(procedure: Procedure, entity: Entity, t: int,
                              gold: AnnotationGrid | None = None) -> QAInstance:
     """Extractive location question for slot t (0-based; slot 0 = before step 1)."""
-    procedure.entity(entity.id)                 # it must be one of the procedure's
-    if not 0 <= t <= procedure.num_steps:
-        raise ValidationError(
-            f"location slot {t} out of range 0..{procedure.num_steps} "
-            f"for procedure {procedure.id!r}")
+    t, track = _checked(procedure, entity, t, gold, "location slot", 0)
     question = f"Where is {entity.aliases[0]} located in step {t}?"
     input_text = (
         f"{question}\n{indexed_steps(procedure)} Other locations: none, unknown."
     )
-    target = ""
-    if gold is not None:
-        track = gold.entries.get(entity.id)
-        if track is not None:
-            target = track.locations[t].answer_text()
+    target = "" if track is None else track.locations[t].answer_text()
     return QAInstance(procedure.id, entity.id, t, LOCATION, input_text, target)
 
 

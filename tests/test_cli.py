@@ -256,22 +256,6 @@ def test_non_string_ids_exit_two_with_line(tmp_path, capsys, command, field):
     assert f"error: {bad}:2: " in capsys.readouterr().err
 
 
-def test_duplicate_decoded_states_exit_two_with_line(tmp_path, capsys):
-    decoded = tmp_path / "decoded.jsonl"
-    assert main(["decode", *_corpus_args(), "--emissions", str(EMISSIONS_PROPARA),
-                 "--model", str(MODEL_PROPARA), "--out", str(decoded)]) == EXIT_OK
-    lines = decoded.read_text().splitlines()
-    decoded.write_text("\n".join([lines[0], *lines]) + "\n")
-    record = json.loads(lines[0])
-    capsys.readouterr()
-    code = main(["resolve", *_corpus_args(), "--decoded", str(decoded),
-                 "--emissions", str(EMISSIONS_PROPARA), "--out", str(tmp_path / "out.jsonl")])
-    assert code == EXIT_VALIDATION
-    assert (f"error: {decoded}:2: duplicate decoded states for "
-            f"({record['procedure_id']!r}, {record['entity_id']!r})"
-            in capsys.readouterr().err)
-
-
 BAD_LOGITS = {
     "object-cell": lambda rows: [[{"a": 1}, *row[1:]] for row in rows],
     "beyond-float-range": lambda rows: [[10 ** 400, *row[1:]] for row in rows],
@@ -497,8 +481,22 @@ BAD_RECORDS = {
                              "procedure 'hydropower' has no entity 'ghost'"),
     "decoded-states-string": ("decoded", 1, lambda r, _: r.update(states="exist"),
                               "'states' must be a list of strings"),
+    "decoded-entity-id-number": ("decoded", 1, lambda r, _: r.update(entity_id=7),
+                                 "'entity_id' must be a string"),
+    "decoded-duplicate": ("decoded", 2, lambda r, records: r.update(records[0]),
+                          r"duplicate decoded states for \('hydropower', 'water'\)"),
     "emissions-unknown-procedure": ("emissions", 1, lambda r, _: r.update(procedure_id="ghost"),
                                     "unknown procedure id 'ghost'"),
+    "emissions-unknown-entity": ("emissions", 1, lambda r, _: r.update(entity_id="ghost"),
+                                 "procedure 'hydropower' has no entity 'ghost'"),
+    "emissions-procedure-id-number": ("emissions", 1, lambda r, _: r.update(procedure_id=7),
+                                      "'procedure_id' must be a string"),
+    "emissions-duplicate": ("emissions", 2, lambda r, records: r.update(records[0]),
+                            r"duplicate emissions for \('hydropower', 'water'\)"),
+    # A duplicate is reported before the record's own fields are checked.
+    "emissions-duplicate-bad-logits": ("emissions", 2, lambda r, records: r.update(
+        records[0], state_logits=[["0.5"] * 6]),
+        r"duplicate emissions for \('hydropower', 'water'\)"),
     "emissions-rows": ("emissions", 1, lambda r, _: r.update(
         state_logits=r["state_logits"][1:], location_preds=r["location_preds"][1:]),
         "state_logits has 5 rows for 6 steps"),

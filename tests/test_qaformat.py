@@ -55,6 +55,11 @@ def test_indexed_steps_prefixes_each_step():
     assert "step 6: The water leaves the dam at the bottom." in text
 
 
+# A step that is not an int: a bool would read "in step True", and the
+# others would reach a comparison or an index.
+NOT_STEPS = [True, 1.5, 2.0, "1", None]
+
+
 def test_state_instance_rejects_step_zero():
     procedure, grid = _hydropower()
     entity = procedure.entity("water")
@@ -62,6 +67,9 @@ def test_state_instance_rejects_step_zero():
         format_state_instance(procedure, entity, 0, PROPARA, grid)
     with pytest.raises(ValidationError):
         format_state_instance(procedure, entity, procedure.num_steps + 1, PROPARA, grid)
+    for t in NOT_STEPS:
+        with pytest.raises(ValidationError, match=f"^state step must be an integer, got {t!r}$"):
+            format_state_instance(procedure, entity, t, PROPARA, grid)
 
 
 def test_location_instance_covers_slot_zero_and_t():
@@ -73,6 +81,10 @@ def test_location_instance_covers_slot_zero_and_t():
     assert last.target_text == "unknown"
     with pytest.raises(ValidationError):
         format_location_instance(procedure, entity, procedure.num_steps + 1, grid)
+    for t in NOT_STEPS:
+        with pytest.raises(ValidationError,
+                           match=f"^location slot must be an integer, got {t!r}$"):
+            format_location_instance(procedure, entity, t, grid)
 
 
 def test_an_entity_of_another_procedure_is_rejected_by_both_formats():
